@@ -26,8 +26,8 @@ int main() {
       const auto kg = *MakeKg(profile, seed);
       SrsSampler sampler(kg, SrsConfig{.batch_size = batch});
       EvaluationConfig config;
-      const auto summary =
-          *RunReplications(sampler, annotator, config, reps, seed + 61);
+      const auto summary = *RunReplications(
+          bench::SharedService(), sampler, annotator, config, reps, seed + 61);
       std::printf(" %14s", bench::MeanStd(summary.triples_summary, 0).c_str());
     }
     std::printf("\n");
@@ -43,8 +43,8 @@ int main() {
       TwcsSampler sampler(kg, TwcsConfig{.batch_clusters = batch,
                                          .second_stage_size = 3});
       EvaluationConfig config;
-      const auto summary =
-          *RunReplications(sampler, annotator, config, reps, seed + 62);
+      const auto summary = *RunReplications(
+          bench::SharedService(), sampler, annotator, config, reps, seed + 62);
       std::printf(" %14s", bench::MeanStd(summary.triples_summary, 0).c_str());
     }
     std::printf("\n");

@@ -66,8 +66,8 @@ int main() {
       const auto kg = *MakeKg(profile, seed);
       auto sampler = design.make(kg);
       EvaluationConfig config;  // aHPD defaults.
-      const auto summary =
-          *RunReplications(*sampler, annotator, config, reps, seed + 51);
+      const auto summary = *RunReplications(
+          bench::SharedService(), *sampler, annotator, config, reps, seed + 51);
       std::printf(" %12s %12s",
                   bench::MeanStd(summary.triples_summary, 0).c_str(),
                   bench::MeanStd(summary.cost_summary, 2).c_str());

@@ -51,12 +51,12 @@ ReplicationSummary RunConfig(const KgView& kg, const BenchConfig& config,
   eval.priors = config.priors;
   if (config.twcs) {
     TwcsSampler sampler(kg, TwcsConfig{.second_stage_size = config.twcs_m});
-    return *RunReplicationsParallel(SharedService(), sampler, annotator, eval,
-                                    reps, seed);
+    return *RunReplications(SharedService(), sampler, annotator, eval, reps,
+                            seed);
   }
   SrsSampler sampler(kg, SrsConfig{});
-  return *RunReplicationsParallel(SharedService(), sampler, annotator, eval,
-                                  reps, seed);
+  return *RunReplications(SharedService(), sampler, annotator, eval, reps,
+                          seed);
 }
 
 std::string SignificanceMarks(const ReplicationSummary& ahpd,

@@ -91,7 +91,7 @@ int main() {
        {IntervalMethod::kEqualTailed, IntervalMethod::kHpd}) {
     EvaluationConfig config;
     config.method = method;
-    const auto summary = *RunReplicationsParallel(
+    const auto summary = *RunReplications(
         bench::SharedService(), sampler, annotator, config, reps, seed + 2);
     std::printf("%-8s %12s %14s %10d\n", IntervalMethodName(method),
                 bench::MeanStd(summary.triples_summary, 0).c_str(),

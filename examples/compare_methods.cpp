@@ -70,7 +70,7 @@ int main() {
     EvaluationConfig config;
     config.method = method;
     const auto summary =
-        RunReplicationsParallel(service, sampler, annotator, config, 200, 77);
+        RunReplications(service, sampler, annotator, config, 200, 77);
     std::printf("  %-16s %7.1f ± %-6.1f  (zero-width runs: %d)\n",
                 IntervalMethodName(method), summary->triples_summary.mean,
                 summary->triples_summary.stddev, summary->zero_width);

@@ -43,10 +43,13 @@ void Advise(const char* label, const SyntheticKg& kg) {
   // Verify with 100 replicated audits per design.
   OracleAnnotator annotator;
   EvaluationConfig config;
+  EvaluationService service;
   SrsSampler srs(kg, SrsConfig{});
-  const auto srs_summary = *RunReplications(srs, annotator, config, 100, 5);
+  const auto srs_summary =
+      *RunReplications(service, srs, annotator, config, 100, 5);
   TwcsSampler twcs(kg, TwcsConfig{.second_stage_size = 3});
-  const auto twcs_summary = *RunReplications(twcs, annotator, config, 100, 5);
+  const auto twcs_summary =
+      *RunReplications(service, twcs, annotator, config, 100, 5);
   std::printf("  measured: SRS %.2fh vs TWCS %.2fh (ratio %.2f)\n\n",
               srs_summary.cost_summary.mean, twcs_summary.cost_summary.mean,
               twcs_summary.cost_summary.mean / srs_summary.cost_summary.mean);

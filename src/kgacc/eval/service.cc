@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "kgacc/util/failpoint.h"
 #include "kgacc/util/random.h"
 
 namespace kgacc {
@@ -125,7 +123,7 @@ uint64_t EvaluationService::DeriveJobSeed(uint64_t base_seed,
 }
 
 void EvaluationService::RunJob(const EvaluationJob& job,
-                               WorkerContext* context,
+                               WorkerContext& context,
                                EvaluationJobOutcome* out) {
   out->label = job.label;
   out->tenant = job.tenant;
@@ -138,98 +136,45 @@ void EvaluationService::RunJob(const EvaluationJob& job,
     out->status = Status::InvalidArgument("job has no annotator");
     return;
   }
-  Sampler* sampler = nullptr;
-  std::unique_ptr<Sampler> owned;
-  if (context != nullptr) {
-    sampler = context->GetSampler(job.sampler);
-  } else {
-    owned = job.sampler->Clone();
-    sampler = owned.get();
-  }
+  Sampler* sampler = context.GetSampler(job.sampler);
   if (sampler == nullptr) {
     out->status = Status::Unimplemented(
         std::string(job.sampler->name()) +
         " sampler does not support Clone(); jobs need per-job isolation");
     return;
   }
-  // Store-backed job: wrap the annotator in a per-job StoredAnnotator so
-  // this job reads the shared label pool and appends its fresh judgments
-  // through the store's group-commit queue. The wrapper is per-job state on
-  // this worker thread; only the store underneath is shared.
-  std::optional<StoredAnnotator> stored;
-  Annotator* annotator = job.annotator;
-  if (job.store != nullptr) {
-    stored.emplace(job.annotator, job.store, job.audit_id, job.store_options);
-    annotator = &*stored;
-  }
   // The whole job body runs behind a catch-all: an annotator or hook that
   // throws must cost its own job an Internal outcome, never the process
   // (the pool's workers are shared by the entire batch).
-  Result<EvaluationResult> result = [&]() -> Result<EvaluationResult> {
-    try {
-      EvaluationSession session(*sampler, *annotator, job.config, job.seed,
-                                context != nullptr ? &context->scratch
-                                                   : nullptr);
-      const bool budgeted = job.max_steps > 0 || job.deadline_seconds > 0.0;
-      if (!job.on_step && !budgeted) return session.Run();
-      // Hooked or budgeted jobs step explicitly so every iteration is
-      // observed (checkpointing, progress, budget checks). A hook failure
-      // aborts this job only.
-      const auto job_start = std::chrono::steady_clock::now();
-      uint64_t steps = 0;
-      while (!session.done()) {
-        if (FailpointHit("service.step")) {
-          return Status::Internal(
-              "injected step failure (failpoint service.step)");
-        }
-        KGACC_ASSIGN_OR_RETURN(const StepOutcome outcome, session.Step());
-        (void)outcome;
-        ++steps;
-        if (job.on_step) KGACC_RETURN_IF_ERROR(job.on_step(session));
-        if (job.max_steps > 0 && steps >= job.max_steps && !session.done()) {
-          out->deadline_exceeded = true;
-          return Status::DeadlineExceeded(
-              "job cancelled: step budget of " +
-              std::to_string(job.max_steps) + " exhausted");
-        }
-        if (job.deadline_seconds > 0.0 && !session.done()) {
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - job_start;
-          if (elapsed.count() > job.deadline_seconds) {
-            out->deadline_exceeded = true;
-            return Status::DeadlineExceeded(
-                "job cancelled: wall-clock deadline of " +
-                std::to_string(job.deadline_seconds) + "s exceeded");
-          }
-        }
-      }
-      return session.Finish();
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("job threw: ") + e.what());
-    } catch (...) {
-      return Status::Internal("job threw a non-standard exception");
+  try {
+    // A store-backed job's runner wraps the annotator in a per-job
+    // StoredAnnotator: this job reads the shared label pool and appends its
+    // fresh judgments through the store's group-commit queue.
+    AuditRunner::Wiring wiring;
+    wiring.store = job.store;
+    wiring.audit_id = job.audit_id;
+    wiring.store_options = job.store_options;
+    wiring.on_step = job.on_step;
+    wiring.max_steps = job.max_steps;
+    wiring.deadline_seconds = job.deadline_seconds;
+    AuditRunner runner(*sampler, *job.annotator, job.config, job.seed,
+                       std::move(wiring), &context.scratch);
+    const RunOutcome outcome = runner.Advance();
+    if (outcome == RunOutcome::kDone || outcome == RunOutcome::kDegraded) {
+      out->result = runner.TakeResult();
+    } else {
+      out->status = runner.status();
+      out->deadline_exceeded = outcome == RunOutcome::kDeadline;
     }
-  }();
-  if (result.ok()) {
-    out->result = std::move(result).value();
-  } else {
-    out->status = result.status();
-  }
-  if (job.robustness) {
-    const JobRobustness robustness = job.robustness();
-    out->degraded = robustness.degraded;
-    out->retries = robustness.retries;
-  }
-  if (stored) {
-    out->store_hits = stored->store_hits();
-    out->store_oracle_calls = stored->oracle_calls();
-    if (stored->degraded()) out->degraded = true;
-    out->retries += stored->retries();
-    if (out->status.ok() && !stored->status().ok()) {
-      // kFailFast sticky append failure: the report would outrun its log —
-      // fail the job rather than return labels the store never saw.
-      out->status = stored->status();
-    }
+    const RunCounters counters = runner.counters();
+    out->degraded = counters.degraded;
+    out->retries = counters.retries;
+    out->store_hits = counters.store_hits;
+    out->store_oracle_calls = counters.oracle_calls;
+  } catch (const std::exception& e) {
+    out->status = Status::Internal(std::string("job threw: ") + e.what());
+  } catch (...) {
+    out->status = Status::Internal("job threw a non-standard exception");
   }
 }
 
@@ -282,7 +227,7 @@ EvaluationBatchResult EvaluationService::RunBatch(
   // below regardless of which worker the task landed on.
   std::vector<GroupSlot> slots;
   const uint64_t stolen_before = pool_.stolen_tasks();
-  if (options_.reuse_contexts && !jobs.empty()) {
+  if (!jobs.empty()) {
     // Deterministic pinning: job i belongs to group i % G, where G caps at
     // threads x groups_per_thread and floors at min_jobs_per_group jobs
     // per group. Each group is one whole task handed to its home worker's
@@ -365,7 +310,7 @@ EvaluationBatchResult EvaluationService::RunBatch(
         ResetThreadHpdStats();
         WorkerContext& context = *contexts_[g];
         for (size_t i : members[g]) {
-          RunJob(jobs[i], &context, &batch.outcomes[i]);
+          RunJob(jobs[i], context, &batch.outcomes[i]);
         }
         context.ReleaseSamplers(registered_prototypes_);
         GroupSlot& slot = slots[g];
@@ -382,18 +327,6 @@ EvaluationBatchResult EvaluationService::RunBatch(
         std::chrono::duration<double>(submitted - start).count();
     stats.barrier_seconds =
         std::chrono::duration<double>(finished - submitted).count();
-  } else {
-    slots.resize(jobs.size());
-    ParallelFor(pool_, jobs.size(), [&](size_t i) {
-      const auto task_start = std::chrono::steady_clock::now();
-      ResetThreadHpdStats();
-      RunJob(jobs[i], nullptr, &batch.outcomes[i]);
-      GroupSlot& slot = slots[i];
-      slot.hpd = ThreadHpdStatsSnapshot();
-      slot.run_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - task_start)
-                             .count();
-    });
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

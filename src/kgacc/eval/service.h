@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "kgacc/eval/evaluator.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/eval/session.h"
 #include "kgacc/intervals/credible.h"
 #include "kgacc/sampling/sampler.h"
@@ -34,8 +35,7 @@
 /// group granularity — a worker that runs dry takes a complete group off a
 /// neighbour's ring, never individual jobs — which keeps per-context
 /// caches hot and a single-group batch on a single thread for its whole
-/// life. `Options::reuse_contexts = false` selects the legacy
-/// fresh-state-per-job path (same results, used as a cross-check).
+/// life.
 ///
 /// Determinism: each job's stochastic path is fully determined by its own
 /// seed (jobs clone their sampler prototypes and own their RNGs; a context
@@ -44,16 +44,6 @@
 /// order, and are returned in submission order.
 
 namespace kgacc {
-
-/// Robustness telemetry one job's durable machinery reports back to the
-/// service (collected via `EvaluationJob::robustness` after the job ran).
-struct JobRobustness {
-  /// The job finished in degraded mode (store writes were abandoned; see
-  /// `StoredAnnotator`/`CheckpointManager` degradation semantics).
-  bool degraded = false;
-  /// Store-write retries the job's backoff loops performed.
-  uint64_t retries = 0;
-};
 
 /// One audit to execute.
 struct EvaluationJob {
@@ -98,12 +88,13 @@ struct EvaluationJob {
   /// tenant's cache churn stays inside its own groups. Like all grouping,
   /// this affects locality only, never results.
   std::string tenant;
-  /// Optional per-step hook, invoked after every successful `Step()` of
-  /// this job's session — the durable-audit integration point: bind a
-  /// `CheckpointManager::OnStep` here and the job snapshots itself into
-  /// the annotation WAL as it progresses. A non-OK return aborts the job
-  /// with that status (fail the audit rather than outrun its log). Runs on
-  /// the worker thread; per-job state only, unless externally synchronized.
+  /// Optional per-step hook, invoked after every step whose labels all
+  /// reached the store (`AuditRunner` order) — the durable-audit
+  /// integration point: bind a `CheckpointManager::OnStep` here and the job
+  /// snapshots itself into the annotation WAL as it progresses, never past
+  /// a refused label. A non-OK return aborts the job with that status.
+  /// Runs on the worker thread; per-job state only, unless externally
+  /// synchronized.
   std::function<Status(const EvaluationSession&)> on_step;
   /// Hard step budget (0 = unlimited): the job is cancelled with
   /// DeadlineExceeded once its session has run this many steps without
@@ -115,11 +106,6 @@ struct EvaluationJob {
   /// cancelled with DeadlineExceeded. Step-granular by design: the check
   /// costs one clock read and never interrupts a step mid-flight.
   double deadline_seconds = 0.0;
-  /// Optional robustness collector, called once on the worker thread after
-  /// the job's session finished (success or failure). Bind it to the job's
-  /// `StoredAnnotator`/`CheckpointManager` so degradation and retry counts
-  /// surface in the outcome; leave empty for plain in-memory jobs.
-  std::function<JobRobustness()> robustness;
 };
 
 /// Outcome of one job: a result or the error that stopped it. Job failures
@@ -132,10 +118,10 @@ struct EvaluationJobOutcome {
   /// Tenant tag copied from the job (empty = untenanted).
   std::string tenant;
   uint64_t seed = 0;
-  /// The job completed but its durable layer degraded (labels or
-  /// checkpoints stopped persisting); `status` is still OK.
+  /// The job completed but its durable layer degraded (its annotator
+  /// reports `degraded()`); `status` is still OK.
   bool degraded = false;
-  /// Store-write retries performed by the job (see `JobRobustness`).
+  /// Store-write retries performed by the job's store wrap.
   uint64_t retries = 0;
   /// The job was cancelled at its step or wall-clock budget (`status` is
   /// then DeadlineExceeded).
@@ -223,11 +209,6 @@ class EvaluationService {
     /// Worker threads; 0 means std::thread::hardware_concurrency()
     /// (at least 1).
     int num_threads = 0;
-    /// Pin jobs to per-group execution contexts that reuse cloned samplers
-    /// and session scratch across the batch (the fast path). Disable to run
-    /// every job with fresh state — results are byte-identical either way;
-    /// the slow path exists as the reference for determinism tests.
-    bool reuse_contexts = true;
     /// Pinning groups per worker thread (>= 1). More groups mean
     /// finer-grained stealing when job durations are uneven, at the price
     /// of colder per-context caches.
@@ -288,9 +269,8 @@ class EvaluationService {
  private:
   struct WorkerContext;
 
-  /// Runs one job into `*out`, drawing the sampler clone and scratch from
-  /// `context` when non-null.
-  static void RunJob(const EvaluationJob& job, WorkerContext* context,
+  /// Runs one job into `*out` on `context`'s sampler clone and scratch.
+  static void RunJob(const EvaluationJob& job, WorkerContext& context,
                      EvaluationJobOutcome* out);
 
   Options options_;

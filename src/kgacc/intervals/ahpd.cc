@@ -1,6 +1,5 @@
 #include "kgacc/intervals/ahpd.h"
 
-#include <future>
 #include <utility>
 
 #include "kgacc/util/codec.h"
@@ -177,42 +176,6 @@ Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
     if (!posterior.ok()) return posterior.status();
     results.push_back(HpdIntervalWarm(*posterior, tau, n, alpha, options,
                                       warm ? &warm->priors[i] : nullptr));
-  }
-  return ReduceCandidates(results);
-}
-
-Result<AhpdChoice> AhpdSelectParallel(const std::vector<BetaPrior>& priors,
-                                      double tau, double n, double alpha,
-                                      ThreadPool* pool,
-                                      const HpdOptions& options,
-                                      AhpdWarmState* warm) {
-  if (priors.empty()) {
-    return Status::InvalidArgument("aHPD requires at least one prior");
-  }
-  if (pool == nullptr) return AhpdSelect(priors, tau, n, alpha, options, warm);
-  if (warm != nullptr) warm->Sync(priors.size());
-
-  // One future per prior: the call waits on exactly its own tasks, never on
-  // unrelated work sharing the pool (pool.Wait() would block on — and, from
-  // inside a worker, could deadlock with — the whole queue). Each task runs
-  // the same `HpdIntervalWarm` protocol as the serial loop on its own
-  // PriorState slot — distinct vector elements, never resized while tasks
-  // are in flight, so the carry updates are race-free.
-  std::vector<Result<HpdResult>> results(
-      priors.size(), Result<HpdResult>(Status::Internal("task not run")));
-  std::vector<std::future<Result<HpdResult>>> futures(priors.size());
-  for (size_t i = 0; i < priors.size(); ++i) {
-    AhpdWarmState::PriorState* state = warm ? &warm->priors[i] : nullptr;
-    futures[i] = pool->SubmitWithResult(
-        [&priors, i, tau, n, alpha, options, state]() -> Result<HpdResult> {
-          const Result<BetaDistribution> posterior =
-              priors[i].Posterior(tau, n);
-          if (!posterior.ok()) return posterior.status();
-          return HpdIntervalWarm(*posterior, tau, n, alpha, options, state);
-        });
-  }
-  for (size_t i = 0; i < priors.size(); ++i) {
-    results[i] = futures[i].get();
   }
   return ReduceCandidates(results);
 }

@@ -7,7 +7,6 @@
 #include "kgacc/intervals/credible.h"
 #include "kgacc/intervals/priors.h"
 #include "kgacc/util/status.h"
-#include "kgacc/util/thread_pool.h"
 
 /// \file ahpd.h
 /// The interval-selection core of the adaptive HPD algorithm (Algorithm 1,
@@ -95,21 +94,6 @@ Result<AhpdChoice> AhpdSelect(const std::vector<BetaPrior>& priors,
                               double tau, double n, double alpha,
                               const HpdOptions& options = {},
                               AhpdWarmState* warm = nullptr);
-
-/// Parallel variant of `AhpdSelect`: one task per prior on `pool` (the
-/// parallelization §4.5 points out keeps aHPD efficient "regardless of the
-/// number of considered priors"). Bitwise-identical results to the serial
-/// version; worthwhile from a handful of priors upward.
-///
-/// Waits only on its own tasks (per-task futures), so it is safe to call
-/// while unrelated work is in flight on the same pool. It must still not be
-/// called from *inside* a pool task: the waiting thread would occupy a
-/// worker slot, which deadlocks a fully busy pool.
-Result<AhpdChoice> AhpdSelectParallel(const std::vector<BetaPrior>& priors,
-                                      double tau, double n, double alpha,
-                                      ThreadPool* pool,
-                                      const HpdOptions& options = {},
-                                      AhpdWarmState* warm = nullptr);
 
 }  // namespace kgacc
 

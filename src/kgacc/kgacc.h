@@ -24,6 +24,7 @@
 #include "kgacc/eval/evaluator.h"
 #include "kgacc/eval/planning.h"
 #include "kgacc/eval/report.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/eval/service.h"
 #include "kgacc/eval/session.h"
 #include "kgacc/intervals/ahpd.h"
@@ -47,6 +48,7 @@
 #include "kgacc/opt/brent.h"
 #include "kgacc/opt/slsqp.h"
 #include "kgacc/sampling/cluster.h"
+#include "kgacc/sampling/design.h"
 #include "kgacc/sampling/sample.h"
 #include "kgacc/sampling/sampler.h"
 #include "kgacc/sampling/srs.h"

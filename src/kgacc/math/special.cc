@@ -1,5 +1,7 @@
 #include "kgacc/math/special.h"
 
+#include <math.h>
+
 #include <cmath>
 
 namespace kgacc {
@@ -12,9 +14,14 @@ constexpr double kTiny = 1e-300;
 
 }  // namespace
 
+double LogGamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
 double LogBeta(double a, double b) {
   KGACC_DCHECK(a > 0.0 && b > 0.0);
-  return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  return LogGamma(a) + LogGamma(b) - LogGamma(a + b);
 }
 
 namespace internal {

@@ -14,6 +14,10 @@ namespace kgacc {
 /// Natural log of the complete beta function B(a, b). Requires a, b > 0.
 double LogBeta(double a, double b);
 
+/// log|Gamma(x)| via the reentrant `lgamma_r`: `std::lgamma` writes the
+/// global `signgam`, a data race between concurrent workers.
+double LogGamma(double x);
+
 /// Regularized incomplete beta function I_x(a, b) = P(X <= x) for
 /// X ~ Beta(a, b). Requires a, b > 0 and x in [0, 1].
 ///

@@ -12,10 +12,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "kgacc/sampling/cluster.h"
-#include "kgacc/sampling/srs.h"
-#include "kgacc/sampling/stratified.h"
-#include "kgacc/sampling/systematic.h"
 #include "kgacc/util/codec.h"
 #include "kgacc/util/failpoint.h"
 
@@ -29,46 +25,24 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-Result<IntervalMethod> ParseMethodName(const std::string& name) {
-  if (name == "ahpd") return IntervalMethod::kAhpd;
-  if (name == "hpd") return IntervalMethod::kHpd;
-  if (name == "et") return IntervalMethod::kEqualTailed;
-  if (name == "wilson") return IntervalMethod::kWilson;
-  if (name == "wald") return IntervalMethod::kWald;
-  if (name == "cp") return IntervalMethod::kClopperPearson;
-  return Status::InvalidArgument("unknown interval method: " + name);
+std::vector<uint8_t> ErrorFrame(StatusCode code, uint64_t audit_id,
+                                bool fatal_to_session,
+                                bool fatal_to_connection,
+                                const std::string& message) {
+  return FrameOf(MessageType::kError, EncodeError,
+                 ErrorMsg{static_cast<uint8_t>(code), audit_id,
+                          fatal_to_session, fatal_to_connection, message});
+}
+
+std::vector<uint8_t> QuotaFrame(uint64_t audit_id, const std::string& quota,
+                                uint64_t remaining, bool fatal_to_session,
+                                const std::string& message) {
+  return FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded,
+                 QuotaExceededMsg{audit_id, quota, remaining,
+                                  fatal_to_session, message});
 }
 
 }  // namespace
-
-Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m) {
-  if (design == "srs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<SrsSampler>(kg, SrsConfig{}));
-  }
-  if (design == "twcs") {
-    return std::unique_ptr<Sampler>(std::make_unique<TwcsSampler>(
-        kg, TwcsConfig{.second_stage_size = twcs_m}));
-  }
-  if (design == "wcs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<WcsSampler>(kg, ClusterConfig{}));
-  }
-  if (design == "rcs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<RcsSampler>(kg, ClusterConfig{}));
-  }
-  if (design == "ssrs") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<StratifiedSampler>(kg, StratifiedConfig{}));
-  }
-  if (design == "sys") {
-    return std::unique_ptr<Sampler>(
-        std::make_unique<SystematicSampler>(kg, SystematicConfig{}));
-  }
-  return Status::InvalidArgument("unknown sampling design: " + design);
-}
 
 /// One TCP peer. Owned and touched exclusively by the poll thread.
 struct AuditDaemon::Connection {
@@ -111,14 +85,9 @@ struct AuditDaemon::Session {
   std::shared_ptr<AnnotationStore> store;
   std::unique_ptr<Sampler> sampler;
   OracleAnnotator inner;
-  std::unique_ptr<StoredAnnotator> annotator;
-  std::unique_ptr<EvaluationSession> session;
-  std::unique_ptr<CheckpointManager> ckpt;
-  EvaluationConfig config;
-  /// Step budget (0 = unlimited) and wall-clock deadline from open/adopt.
-  uint64_t max_steps = 0;
-  double deadline_seconds = 0.0;
-  Clock::time_point opened_at = Clock::now();
+  /// The session's loop: store wrap, checkpoints, step budget, deadline
+  /// and the tenant's oracle-budget gate.
+  std::unique_ptr<AuditRunner> runner;
   /// Owning connection (-1 = detached, awaiting re-adoption).
   int conn_fd = -1;
   uint64_t conn_gen = 0;
@@ -240,13 +209,8 @@ void AuditDaemon::QueueError(Connection& conn, StatusCode code,
                              uint64_t audit_id, bool fatal_to_session,
                              bool fatal_to_connection,
                              const std::string& message) {
-  ErrorMsg err;
-  err.code = static_cast<uint8_t>(code);
-  err.audit_id = audit_id;
-  err.fatal_to_session = fatal_to_session;
-  err.fatal_to_connection = fatal_to_connection;
-  err.message = message;
-  QueueFrame(conn, FrameOf(MessageType::kError, EncodeError, err));
+  QueueFrame(conn, ErrorFrame(code, audit_id, fatal_to_session,
+                              fatal_to_connection, message));
   if (fatal_to_connection) conn.close_after_flush = true;
 }
 
@@ -262,14 +226,8 @@ void AuditDaemon::QueueQuotaExceeded(Connection& conn, uint64_t audit_id,
                                      uint64_t remaining,
                                      const std::string& message) {
   stats_.quota_rejections.fetch_add(1, std::memory_order_relaxed);
-  QuotaExceededMsg exceeded;
-  exceeded.audit_id = audit_id;
-  exceeded.quota = quota;
-  exceeded.remaining = remaining;
-  exceeded.fatal_to_session = true;
-  exceeded.message = message;
-  QueueFrame(conn, FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded,
-                           exceeded));
+  QueueFrame(conn, QuotaFrame(audit_id, quota, remaining,
+                              /*fatal_to_session=*/true, message));
 }
 
 bool AuditDaemon::FlushOutbox(Connection& conn) {
@@ -320,9 +278,9 @@ void AuditDaemon::DetachSession(Session& session) {
   session.conn_gen = 0;
   if (!session.busy && !session.finished && !session.failed) {
     // Bound the reconnect replay: a detached session re-adopts from its
-    // freshest possible snapshot. Best effort — every label is already in
-    // the WAL regardless.
-    (void)session.ckpt->Checkpoint(*session.session);
+    // freshest possible snapshot. A failure costs replay, not labels —
+    // every label is already in the WAL — so it is counted, not fatal.
+    CheckpointSession(session);
   }
 }
 
@@ -401,12 +359,9 @@ bool AuditDaemon::ServiceReadable(Connection& conn) {
       if (!next.ok()) {
         // Corrupt stream: tell the peer why (best effort — its read side
         // usually still works), then fail the connection, not the daemon.
-        ErrorMsg err;
-        err.code = static_cast<uint8_t>(next.status().code());
-        err.fatal_to_connection = true;
-        err.message = next.status().message();
         const std::vector<uint8_t> bytes =
-            FrameOf(MessageType::kError, EncodeError, err);
+            ErrorFrame(next.status().code(), 0, false, true,
+                       next.status().message());
         (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
         CloseConnection(conn.fd.get(), next.status());
         return false;
@@ -596,25 +551,16 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
     session.conn_fd = conn.fd.get();
     session.conn_gen = conn.gen;
     if (!session.busy) {
-      session.max_steps =
-          msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps;
-      session.deadline_seconds = msg.deadline_seconds;
-      session.opened_at = Clock::now();
+      session.runner->SetBudget(
+          msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps,
+          msg.deadline_seconds);
     }
     if (std::find(conn.audits.begin(), conn.audits.end(), msg.audit_id) ==
         conn.audits.end()) {
       conn.audits.push_back(msg.audit_id);
     }
     stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
-    AuditOpenedMsg opened;
-    opened.audit_id = msg.audit_id;
-    opened.resumed = true;
-    opened.start_step = session.steps_done.load(std::memory_order_relaxed);
-    opened.labels_on_file = session.store->num_labeled();
-    opened.design_name = session.design_name;
-    opened.dataset_name = session.kg_name;
-    QueueFrame(conn,
-               FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened));
+    QueueAuditOpened(conn, session, /*resumed=*/true);
     return;
   }
 
@@ -666,7 +612,7 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
                "no registered knowledge graph named '" + msg.kg_name + "'");
     return;
   }
-  const auto method = ParseMethodName(msg.method);
+  const auto method = ParseIntervalMethod(msg.method);
   if (!method.ok()) {
     QueueError(conn, method.status().code(), msg.audit_id, true, false,
                method.status().message());
@@ -687,9 +633,10 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
   session->tenant_config = conn.tenant_config;
   session->sampler = std::move(*sampler);
   session->design_name = session->sampler->name();
-  session->config.method = *method;
-  session->config.alpha = msg.alpha;
-  session->config.moe_threshold = msg.epsilon;
+  EvaluationConfig config;
+  config.method = *method;
+  config.alpha = msg.alpha;
+  config.moe_threshold = msg.epsilon;
 
   auto store = StoreForKg(msg.kg_name);
   if (!store.ok()) {
@@ -698,37 +645,52 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
     return;
   }
   session->store = std::move(*store);
-  session->annotator = std::make_unique<StoredAnnotator>(
-      &session->inner, session->store.get(), msg.audit_id,
-      StoredAnnotator::Options{});
-  session->session = std::make_unique<EvaluationSession>(
-      *session->sampler, *session->annotator, session->config, msg.seed);
-  CheckpointOptions ckpt_options;
-  ckpt_options.every_steps =
+  AuditRunner::Wiring wiring;
+  wiring.store = session->store.get();
+  wiring.audit_id = msg.audit_id;
+  wiring.checkpoint.emplace();
+  wiring.checkpoint->every_steps =
       std::max<uint64_t>(msg.checkpoint_every, options_.checkpoint_every);
-  session->ckpt = std::make_unique<CheckpointManager>(
-      session->store.get(), msg.audit_id, ckpt_options);
+  wiring.max_steps =
+      msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps;
+  wiring.deadline_seconds = msg.deadline_seconds;
+  Session* sp = session.get();
+  if (session->tenant_config->oracle_budget != 0) {
+    wiring.gate = [this, sp] { return OracleBudgetGate(*sp); };
+  }
+  wiring.on_step = [this](const EvaluationSession&) {
+    const uint64_t total =
+        stats_.steps_executed.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Chaos hook: die between the step and its checkpoint — the hard
+    // recovery case, where the tail step's labels are durable but its
+    // snapshot is not. Recovery replays them from the store for free.
+    if (options_.crash_after_steps != 0 &&
+        total >= options_.crash_after_steps) {
+      std::raise(SIGKILL);
+    }
+    return Status::OK();
+  };
+  session->runner = std::make_unique<AuditRunner>(
+      *session->sampler, session->inner, config, msg.seed, std::move(wiring));
 
   bool resumed = false;
-  if (msg.resume && session->ckpt->CanResume()) {
-    const Status restored = session->ckpt->Resume(session->session.get());
+  if (msg.resume) {
+    const Result<bool> restored = session->runner->Resume();
     if (!restored.ok()) {
-      QueueError(conn, restored.code(), msg.audit_id, true, false,
+      QueueError(conn, restored.status().code(), msg.audit_id, true, false,
                  "cannot resume audit " + std::to_string(msg.audit_id) +
-                     ": " + restored.message());
+                     ": " + restored.status().message());
       return;
     }
-    resumed = true;
+    resumed = *restored;
+  }
+  if (resumed) {
     session->steps_done.store(
-        static_cast<uint64_t>(session->session->iterations()),
+        static_cast<uint64_t>(session->runner->session().iterations()),
         std::memory_order_relaxed);
     stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
   }
 
-  session->max_steps =
-      msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps;
-  session->deadline_seconds = msg.deadline_seconds;
-  session->opened_at = Clock::now();
   session->conn_fd = conn.fd.get();
   session->conn_gen = conn.gen;
   session->home_worker = static_cast<int>(
@@ -736,14 +698,19 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
   conn.audits.push_back(msg.audit_id);
   stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
 
-  AuditOpenedMsg opened;
-  opened.audit_id = msg.audit_id;
-  opened.resumed = resumed;
-  opened.start_step = session->steps_done.load(std::memory_order_relaxed);
-  opened.labels_on_file = session->store->num_labeled();
-  opened.design_name = session->design_name;
-  opened.dataset_name = session->kg_name;
+  QueueAuditOpened(conn, *session, resumed);
   sessions_.emplace(msg.audit_id, std::move(session));
+}
+
+void AuditDaemon::QueueAuditOpened(Connection& conn, const Session& session,
+                                   bool resumed) {
+  AuditOpenedMsg opened;
+  opened.audit_id = session.audit_id;
+  opened.resumed = resumed;
+  opened.start_step = session.steps_done.load(std::memory_order_relaxed);
+  opened.labels_on_file = session.store->num_labeled();
+  opened.design_name = session.design_name;
+  opened.dataset_name = session.kg_name;
   QueueFrame(conn,
              FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened));
 }
@@ -821,26 +788,47 @@ void AuditDaemon::PumpWorker(int worker) {
   }
 }
 
-std::vector<uint8_t> AuditDaemon::BuildReportFrame(
-    Session& session, const EvaluationResult& result) {
+std::vector<uint8_t> AuditDaemon::BuildReportFrame(Session& session) {
+  const RunCounters counters = session.runner->counters();
   AuditReportMsg report;
   report.audit_id = session.audit_id;
   report.design_name = session.design_name;
   report.dataset_name = session.kg_name;
-  report.result = result;
-  report.store_hits = session.annotator->store_hits();
-  report.oracle_calls = session.annotator->oracle_calls();
-  report.checkpoints_written = session.ckpt->checkpoints_written();
-  report.store_retries = session.annotator->retries() +
-                         session.ckpt->retries();
-  report.degraded =
-      session.annotator->degraded() || session.ckpt->degraded();
-  if (session.annotator->degraded()) {
-    report.degradation_note = session.annotator->degradation_note();
-  } else if (session.ckpt->degraded()) {
-    report.degradation_note = session.ckpt->degraded_cause().ToString();
-  }
+  report.result = session.runner->result();
+  report.store_hits = counters.store_hits;
+  report.oracle_calls = counters.oracle_calls;
+  report.checkpoints_written = counters.checkpoints;
+  report.store_retries = counters.retries;
+  report.degraded = counters.degraded;
+  report.degradation_note = counters.degradation_note;
   return FrameOf(MessageType::kAuditReport, EncodeAuditReport, report);
+}
+
+uint64_t AuditDaemon::OracleSpend(const Session& session) const {
+  // Durable spend plus any delta a failed charge left pending.
+  return ledger_->Balance(session.tenant).oracle_spent +
+         session.runner->stored()->oracle_calls() -
+         session.metered_oracle_calls;
+}
+
+Status AuditDaemon::OracleBudgetGate(const Session& session) const {
+  // Pre-step budget gate: stop at a step boundary once the tenant's spend
+  // meets the budget. The runner checkpoints and parks the session — a
+  // non-fatal QuotaExceeded per batch, never a kill — so the audit resumes
+  // the moment the budget grows. Overshoot is bounded by one step's calls.
+  const uint64_t budget = session.tenant_config->oracle_budget;
+  if (OracleSpend(session) < budget) return Status::OK();
+  return Status::QuotaExceeded(
+      "tenant '" + session.tenant + "' oracle-call budget (" +
+      std::to_string(budget) + ") exhausted at step " +
+      std::to_string(session.steps_done.load(std::memory_order_relaxed)) +
+      "; session checkpointed — reopen once the budget grows");
+}
+
+void AuditDaemon::CheckpointSession(Session& session) {
+  if (!session.runner->Checkpoint().ok()) {
+    stats_.checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
@@ -852,174 +840,97 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
   ev.worker = worker;
   ev.steps = steps;
   ev.tenant = session->tenant;
-  auto fail_session = [&](StatusCode code, const std::string& message,
-                          bool count_failed) {
-    ErrorMsg err;
-    err.code = static_cast<uint8_t>(code);
-    err.audit_id = session->audit_id;
-    err.fatal_to_session = true;
-    err.message = message;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kError, EncodeError, err);
-    ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
-    ev.session_failed = true;
-    session->failed = true;
-    if (count_failed) {
-      stats_.sessions_failed.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  auto push_quota_exceeded = [&](const std::string& quota, uint64_t remaining,
-                                 const std::string& message) {
-    QuotaExceededMsg exceeded;
-    exceeded.audit_id = session->audit_id;
-    exceeded.quota = quota;
-    exceeded.remaining = remaining;
-    exceeded.fatal_to_session = false;
-    exceeded.message = message;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded, exceeded);
+  auto push_frame = [&](const std::vector<uint8_t>& frame) {
     ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
   };
+  AuditRunner& runner = *session->runner;
   const TenantConfig& tenant_config = *session->tenant_config;
+  uint64_t checkpoint_failures = runner.counters().checkpoint_failures;
 
-  for (uint64_t i = 0; i < steps; ++i) {
-    if (session->failed || session->finished) break;
-    if (session->max_steps != 0 &&
-        session->steps_done.load(std::memory_order_relaxed) >=
-            session->max_steps) {
-      stats_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      fail_session(StatusCode::kDeadlineExceeded,
-                   "session step budget (" +
-                       std::to_string(session->max_steps) +
-                       " steps) exhausted; reopen with a larger budget to "
-                       "continue from the checkpoint",
-                   /*count_failed=*/false);
-      break;
-    }
-    if (session->deadline_seconds > 0.0 &&
-        SecondsSince(session->opened_at) > session->deadline_seconds) {
-      stats_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-      fail_session(StatusCode::kDeadlineExceeded,
-                   "session wall-clock deadline (" +
-                       std::to_string(session->deadline_seconds) +
-                       "s) exceeded; reopen to continue from the checkpoint",
-                   /*count_failed=*/false);
-      break;
-    }
-    if (tenant_config.oracle_budget != 0) {
-      // Pre-step budget gate: stop at a step boundary once the tenant's
-      // durable spend (plus any delta a failed charge left pending) meets
-      // the budget. The session checkpoints and idles — a non-fatal
-      // QuotaExceeded per batch, never a kill — so the audit resumes the
-      // moment the budget grows. Overshoot is bounded by one step's calls.
-      const uint64_t unmetered = session->annotator->oracle_calls() -
-                                 session->metered_oracle_calls;
-      const uint64_t durable =
-          ledger_->Balance(session->tenant).oracle_spent;
-      if (durable + unmetered >= tenant_config.oracle_budget) {
-        if (!session->quota_exhausted) {
-          session->quota_exhausted = true;
-          stats_.quota_exhaustions.fetch_add(1, std::memory_order_relaxed);
-        }
-        (void)session->ckpt->Checkpoint(*session->session);
-        push_quota_exceeded(
-            "oracle_budget",
-            RemainingAllowance(tenant_config.oracle_budget,
-                               durable + unmetered),
-            "tenant '" + session->tenant + "' oracle-call budget (" +
-                std::to_string(tenant_config.oracle_budget) +
-                ") exhausted at step " +
-                std::to_string(
-                    session->steps_done.load(std::memory_order_relaxed)) +
-                "; session checkpointed — reopen once the budget grows");
-        break;
-      }
-    }
-
-    const auto outcome = session->session->Step();
-    if (!outcome.ok()) {
-      std::string message = "evaluation step failed: " +
-                            outcome.status().ToString();
-      if (!session->store->wal_error().ok()) {
-        message += " (annotation WAL sticky-failed: " +
-                   session->store->wal_error().ToString() + ")";
-      }
-      fail_session(outcome.status().code(), message, /*count_failed=*/true);
-      break;
-    }
-    session->steps_done.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t total =
-        stats_.steps_executed.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Chaos hook: die between the step and its checkpoint — the hard
-    // recovery case, where the tail step's labels are durable but its
-    // snapshot is not. Recovery replays them from the store for free.
-    if (options_.crash_after_steps != 0 &&
-        total >= options_.crash_after_steps) {
-      std::raise(SIGKILL);
-    }
-    if (!session->annotator->status().ok()) {
-      fail_session(session->annotator->status().code(),
-                   "annotation store append failed: " +
-                       session->annotator->status().ToString(),
-                   /*count_failed=*/true);
-      break;
-    }
-    const Status checkpointed = session->ckpt->OnStep(*session->session);
-    if (!checkpointed.ok()) {
-      std::string message =
-          "checkpoint failed: " + checkpointed.ToString();
-      if (!session->store->wal_error().ok()) {
-        message += " (annotation WAL sticky-failed: " +
-                   session->store->wal_error().ToString() + ")";
-      }
-      fail_session(checkpointed.code(), message, /*count_failed=*/true);
-      break;
-    }
-
-    // Meter the step's spend durably. Deltas are computed against the
-    // last *successfully charged* totals, so a failed append simply rolls
-    // the delta into the next step's charge — acknowledged spend is never
-    // lost and never double-counted (Charge acks only after the durable
-    // cumulative frame settles).
-    const uint64_t oracle_now = session->annotator->oracle_calls();
-    const uint64_t bytes_now = session->annotator->bytes_appended() +
-                               session->ckpt->bytes_appended();
-    const uint64_t oracle_delta = oracle_now - session->metered_oracle_calls;
-    const uint64_t bytes_delta = bytes_now - session->metered_store_bytes;
+  for (uint64_t i = 0; i < steps && !session->failed && !session->finished;
+       ++i) {
+    const RunOutcome outcome = runner.Advance(1);
+    const RunCounters counters = runner.counters();
+    stats_.checkpoint_failures.fetch_add(
+        counters.checkpoint_failures - checkpoint_failures,
+        std::memory_order_relaxed);
+    checkpoint_failures = counters.checkpoint_failures;
+    // Meter the call's spend durably — before any outcome handling, so a
+    // step that failed after judging is still charged. Deltas are computed
+    // against the last *successfully charged* totals, so a failed append
+    // simply rolls the delta into the next step's charge — acknowledged
+    // spend is never lost and never double-counted (Charge acks only after
+    // the durable cumulative frame settles).
+    const uint64_t oracle_delta =
+        counters.oracle_calls - session->metered_oracle_calls;
+    const uint64_t bytes_delta =
+        counters.store_bytes - session->metered_store_bytes;
     if (oracle_delta != 0 || bytes_delta != 0) {
       const Status charged =
           ledger_->Charge(session->tenant, oracle_delta, bytes_delta);
       if (charged.ok()) {
-        session->metered_oracle_calls = oracle_now;
-        session->metered_store_bytes = bytes_now;
+        session->metered_oracle_calls = counters.oracle_calls;
+        session->metered_store_bytes = counters.store_bytes;
       }
     }
-    if (tenant_config.store_byte_quota != 0 &&
-        !session->annotator->degraded()) {
+    if (outcome == RunOutcome::kFailed || outcome == RunOutcome::kDeadline) {
+      // Fatal to the session either way; a spent budget is not a bug, and
+      // its runner snapshotted the session so a reopen continues from it.
+      const bool deadline = outcome == RunOutcome::kDeadline;
+      (deadline ? stats_.deadline_exceeded : stats_.sessions_failed)
+          .fetch_add(1, std::memory_order_relaxed);
+      push_frame(ErrorFrame(
+          runner.status().code(), session->audit_id,
+          /*fatal_to_session=*/true, /*fatal_to_connection=*/false,
+          deadline ? "session " + runner.status().message() +
+                         "; reopen to continue from the checkpoint"
+                   : runner.status().message()));
+      ev.session_failed = true;
+      session->failed = true;
+      break;
+    }
+    if (outcome == RunOutcome::kParked && !runner.status().ok()) {
+      // The oracle-budget gate parked the session at its checkpoint.
+      if (!session->quota_exhausted) {
+        session->quota_exhausted = true;
+        stats_.quota_exhaustions.fetch_add(1, std::memory_order_relaxed);
+      }
+      push_frame(QuotaFrame(session->audit_id, "oracle_budget",
+                            RemainingAllowance(tenant_config.oracle_budget,
+                                               OracleSpend(*session)),
+                            /*fatal_to_session=*/false,
+                            runner.status().message()));
+      break;
+    }
+    session->steps_done.store(
+        static_cast<uint64_t>(runner.session().iterations()),
+        std::memory_order_relaxed);
+
+    StoredAnnotator& stored = *runner.stored();
+    if (tenant_config.store_byte_quota != 0 && !stored.degraded()) {
       const uint64_t durable_bytes =
           ledger_->Balance(session->tenant).store_bytes;
       const uint64_t unmetered_bytes =
-          bytes_now - session->metered_store_bytes;
+          counters.store_bytes - session->metered_store_bytes;
       if (durable_bytes + unmetered_bytes >=
           tenant_config.store_byte_quota) {
         // Soft quota: the audit keeps running, but new oracle labels stop
         // being persisted (store hits keep serving) — the same degraded
         // read-only mode a sticky WAL failure drops into. Checkpoints
         // still append so the session stays resumable.
-        session->annotator->ForceDegrade(Status::QuotaExceeded(
+        stored.ForceDegrade(Status::QuotaExceeded(
             "tenant '" + session->tenant + "' store-byte quota (" +
             std::to_string(tenant_config.store_byte_quota) + ") exhausted"));
         stats_.quota_degraded.fetch_add(1, std::memory_order_relaxed);
-        push_quota_exceeded(
-            "store_quota", 0,
+        push_frame(QuotaFrame(
+            session->audit_id, "store_quota", 0, /*fatal_to_session=*/false,
             "tenant '" + session->tenant + "' store-byte quota (" +
                 std::to_string(tenant_config.store_byte_quota) +
-                ") exhausted; annotation persistence degraded to read-only");
+                ") exhausted; annotation persistence degraded to read-only"));
       }
     }
 
-    const bool degraded =
-        session->annotator->degraded() || session->ckpt->degraded();
+    const bool degraded = counters.degraded || stored.degraded();
     if (degraded && !session->degraded_notified) {
       session->degraded_notified = true;
       stats_.sessions_degraded.fetch_add(1, std::memory_order_relaxed);
@@ -1027,45 +938,30 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
 
     // The per-step interval push. Finish() mid-run snapshots the partial
     // result — the only place the asymmetric HPD bounds live.
-    const auto partial = session->session->Finish();
+    const StepOutcome& step = runner.last_step();
+    const auto partial = runner.session().Finish();
     IntervalUpdateMsg update;
     update.audit_id = session->audit_id;
     update.step = session->steps_done.load(std::memory_order_relaxed);
-    update.annotated_triples = outcome->annotated_triples;
-    update.mu = outcome->mu;
+    update.annotated_triples = step.annotated_triples;
+    update.mu = step.mu;
     if (partial.ok()) {
       update.lower = partial->interval.lower;
       update.upper = partial->interval.upper;
       update.moe = partial->interval.Moe();
     } else {
-      update.moe = outcome->moe;
+      update.moe = step.moe;
     }
-    update.done = outcome->done;
-    update.stop_reason = static_cast<uint8_t>(outcome->stop_reason);
+    update.done = step.done;
+    update.stop_reason = static_cast<uint8_t>(step.stop_reason);
     update.degraded = degraded;
-    const std::vector<uint8_t> frame =
-        FrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update);
-    ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
+    push_frame(
+        FrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update));
 
-    if (outcome->done) {
-      const auto result = session->session->Finish();
-      if (!result.ok()) {
-        fail_session(result.status().code(),
-                     "finalization failed: " + result.status().ToString(),
-                     /*count_failed=*/true);
-        break;
-      }
-      // Final snapshot: a reopened finished audit restores directly to
-      // done and regenerates this identical report.
-      (void)session->ckpt->Checkpoint(*session->session);
-      (void)session->store->Flush();
-      const std::vector<uint8_t> report_frame =
-          BuildReportFrame(*session, *result);
-      ev.frames.insert(ev.frames.end(), report_frame.begin(),
-                       report_frame.end());
+    if (outcome == RunOutcome::kDone || outcome == RunOutcome::kDegraded) {
+      push_frame(BuildReportFrame(*session));
       ev.session_finished = true;
       session->finished = true;
-      break;
     }
   }
 
@@ -1114,15 +1010,14 @@ void AuditDaemon::DrainEvents() {
       if (ev.session_finished || ev.session_failed) {
         // The session leaves the registry; its store (flushed WAL +
         // checkpoints) remains the durable artifact a reopen resumes from.
-        if (ev.session_failed && !session.finished) {
-          (void)session.ckpt->Checkpoint(*session.session);
-        }
+        // A budget-stopped session was snapshotted by its runner; a failed
+        // one must not be (its last step may outrun the log).
         if (conn != nullptr) std::erase(conn->audits, ev.audit_id);
         DropQueuedBatches(session);
         sessions_.erase(sit);
       } else if (session.conn_fd < 0) {
         // Detached mid-batch: checkpoint now that the worker is done.
-        (void)session.ckpt->Checkpoint(*session.session);
+        CheckpointSession(session);
       }
     }
     // The freed worker serves its next queued batch (DRR order).
@@ -1238,9 +1133,7 @@ void AuditDaemon::PollLoop() {
   // holds only acknowledged records). A compaction failure is harmless:
   // whichever log it left installed is complete and durable.
   for (auto& [id, session] : sessions_) {
-    if (!session->finished && !session->failed) {
-      (void)session->ckpt->Checkpoint(*session->session);
-    }
+    if (!session->finished && !session->failed) CheckpointSession(*session);
   }
   for (auto& [name, store] : stores_) {
     (void)store->Flush();
@@ -1275,6 +1168,7 @@ std::string AuditDaemon::StatsLine() const {
          " failed=" + v(stats_.sessions_failed) +
          " degraded=" + v(stats_.sessions_degraded) +
          " steps=" + v(stats_.steps_executed) +
+         " ckpt_failed=" + v(stats_.checkpoint_failures) +
          " quota_rejected=" + v(stats_.quota_rejections) +
          " quota_exhausted=" + v(stats_.quota_exhaustions) +
          " quota_degraded=" + v(stats_.quota_degraded) +

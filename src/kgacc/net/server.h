@@ -12,11 +12,12 @@
 #include <thread>
 #include <vector>
 
-#include "kgacc/eval/session.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/kg/knowledge_graph.h"
 #include "kgacc/net/frame.h"
 #include "kgacc/net/protocol.h"
 #include "kgacc/net/socket.h"
+#include "kgacc/sampling/design.h"
 #include "kgacc/store/annotation_store.h"
 #include "kgacc/store/checkpoint.h"
 #include "kgacc/tenant/drr.h"
@@ -126,6 +127,9 @@ class AuditDaemon {
     /// Sessions that dropped to degraded read-only persistence.
     std::atomic<uint64_t> sessions_degraded{0};
     std::atomic<uint64_t> steps_executed{0};
+    /// Session snapshots that failed or gave up (the checkpoint manager
+    /// degraded). Labels are unaffected; resume granularity is.
+    std::atomic<uint64_t> checkpoint_failures{0};
     /// Admissions refused with a QuotaExceeded frame (tenant budget or cap
     /// already spent — distinct from transient `busy_rejections`).
     std::atomic<uint64_t> quota_rejections{0};
@@ -217,6 +221,9 @@ class AuditDaemon {
   bool HandleFrame(Connection& conn, const NetFrame& frame);
   void HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg);
   void HandleStepBatch(Connection& conn, const StepBatchMsg& msg);
+  /// Answers an open or re-adoption with the session's AuditOpened frame.
+  void QueueAuditOpened(Connection& conn, const Session& session,
+                        bool resumed);
   /// Runs one batch of steps on a pool worker; posts events back. The
   /// session pointer stays valid for the batch's duration: sessions are
   /// only evicted by the poll thread after the batch_done event.
@@ -255,8 +262,14 @@ class AuditDaemon {
   /// daemon's life.
   Result<std::shared_ptr<AnnotationStore>> StoreForKg(const std::string& name);
   /// Builds the final AuditReport frame for a finished session.
-  std::vector<uint8_t> BuildReportFrame(Session& session,
-                                        const EvaluationResult& result);
+  std::vector<uint8_t> BuildReportFrame(Session& session);
+  /// The tenant's oracle spend as the budget gate sees it: durable ledger
+  /// balance plus this session's not-yet-charged calls.
+  uint64_t OracleSpend(const Session& session) const;
+  /// The runner's pre-step gate for tenants with an oracle budget.
+  Status OracleBudgetGate(const Session& session) const;
+  /// Snapshots an idle session (detach, drain); failures are counted.
+  void CheckpointSession(Session& session);
 
   Options options_;
   Stats stats_;
@@ -302,11 +315,6 @@ class AuditDaemon {
   std::mutex events_mu_;
   std::deque<Event> events_;
 };
-
-/// Builds the sampler for a protocol design string ("srs", "twcs", ...) —
-/// the same vocabulary the `kgacc_audit` CLI accepts.
-Result<std::unique_ptr<Sampler>> MakeSamplerForDesign(
-    const KnowledgeGraph& kg, const std::string& design, int twcs_m);
 
 }  // namespace kgacc
 

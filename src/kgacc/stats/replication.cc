@@ -1,17 +1,10 @@
 #include "kgacc/stats/replication.h"
 
+#include <algorithm>
+
 namespace kgacc {
 
 namespace {
-
-void InitSummary(ReplicationSummary& summary, int reps,
-                 const EvaluationConfig& config) {
-  summary.triples.reserve(reps);
-  summary.cost_hours.reserve(reps);
-  summary.mu.reserve(reps);
-  summary.interval_widths.reserve(reps);
-  summary.prior_wins.assign(std::max<size_t>(config.priors.size(), 1), 0);
-}
 
 void Accumulate(ReplicationSummary& summary, const EvaluationResult& result) {
   summary.triples.push_back(static_cast<double>(result.annotated_triples));
@@ -25,37 +18,13 @@ void Accumulate(ReplicationSummary& summary, const EvaluationResult& result) {
   }
 }
 
-Status FinalizeSummaries(ReplicationSummary& summary) {
-  KGACC_ASSIGN_OR_RETURN(summary.triples_summary, Summarize(summary.triples));
-  KGACC_ASSIGN_OR_RETURN(summary.cost_summary, Summarize(summary.cost_hours));
-  KGACC_ASSIGN_OR_RETURN(summary.mu_summary, Summarize(summary.mu));
-  return Status::OK();
-}
-
 }  // namespace
 
-Result<ReplicationSummary> RunReplications(Sampler& sampler,
+Result<ReplicationSummary> RunReplications(EvaluationService& service,
+                                           const Sampler& sampler,
                                            Annotator& annotator,
                                            const EvaluationConfig& config,
                                            int reps, uint64_t base_seed) {
-  if (reps < 1) {
-    return Status::InvalidArgument("need at least one repetition");
-  }
-  ReplicationSummary summary;
-  InitSummary(summary, reps, config);
-  for (int rep = 0; rep < reps; ++rep) {
-    KGACC_ASSIGN_OR_RETURN(
-        const EvaluationResult result,
-        RunEvaluation(sampler, annotator, config, base_seed + rep));
-    Accumulate(summary, result);
-  }
-  KGACC_RETURN_IF_ERROR(FinalizeSummaries(summary));
-  return summary;
-}
-
-Result<ReplicationSummary> RunReplicationsParallel(
-    EvaluationService& service, const Sampler& sampler, Annotator& annotator,
-    const EvaluationConfig& config, int reps, uint64_t base_seed) {
   if (reps < 1) {
     return Status::InvalidArgument("need at least one repetition");
   }
@@ -69,12 +38,18 @@ Result<ReplicationSummary> RunReplicationsParallel(
   const EvaluationBatchResult batch = service.RunBatch(jobs);
 
   ReplicationSummary summary;
-  InitSummary(summary, reps, config);
+  summary.triples.reserve(reps);
+  summary.cost_hours.reserve(reps);
+  summary.mu.reserve(reps);
+  summary.interval_widths.reserve(reps);
+  summary.prior_wins.assign(std::max<size_t>(config.priors.size(), 1), 0);
   for (const EvaluationJobOutcome& outcome : batch.outcomes) {
     KGACC_RETURN_IF_ERROR(outcome.status);
     Accumulate(summary, outcome.result);
   }
-  KGACC_RETURN_IF_ERROR(FinalizeSummaries(summary));
+  KGACC_ASSIGN_OR_RETURN(summary.triples_summary, Summarize(summary.triples));
+  KGACC_ASSIGN_OR_RETURN(summary.cost_summary, Summarize(summary.cost_hours));
+  KGACC_ASSIGN_OR_RETURN(summary.mu_summary, Summarize(summary.mu));
   return summary;
 }
 

@@ -35,22 +35,16 @@ struct ReplicationSummary {
   std::vector<int> prior_wins;
 };
 
-/// Runs `RunEvaluation` `reps` times (seed = base_seed + i) and aggregates.
-/// The sampler is Reset() by each run; the bound population is reused.
-Result<ReplicationSummary> RunReplications(Sampler& sampler,
+/// Runs the protocol: `reps` evaluations (seed = base_seed + i) fanned out
+/// as `EvaluationService` jobs (one sampler clone per job), aggregated in
+/// repetition order. The summary equals a loop of `RunEvaluation` calls
+/// for every thread count; with more than one thread the annotator must be
+/// safe for concurrent `Annotate` calls (the simulation annotators are).
+Result<ReplicationSummary> RunReplications(EvaluationService& service,
+                                           const Sampler& sampler,
                                            Annotator& annotator,
                                            const EvaluationConfig& config,
                                            int reps, uint64_t base_seed);
-
-/// Parallel form of the same protocol: fans the `reps` runs out as
-/// `EvaluationService` jobs (seed = base_seed + i, one sampler clone per
-/// job) and aggregates in repetition order. Produces the identical
-/// `ReplicationSummary` as the serial version for every thread count; the
-/// annotator must be safe for concurrent `Annotate` calls (the simulation
-/// annotators are).
-Result<ReplicationSummary> RunReplicationsParallel(
-    EvaluationService& service, const Sampler& sampler, Annotator& annotator,
-    const EvaluationConfig& config, int reps, uint64_t base_seed);
 
 }  // namespace kgacc
 

@@ -480,20 +480,28 @@ void AnnotationStore::MaybeAutoCompact() {
   (void)Compact();
 }
 
+std::unique_lock<std::mutex> AnnotationStore::LockIdleLog() const {
+  // A group-commit leader writes and settles the log with `commit_mu_`
+  // released; touching `log_` is safe only between leader rounds.
+  std::unique_lock<std::mutex> lock(commit_mu_);
+  commit_cv_.wait(lock, [&] { return !leader_active_; });
+  return lock;
+}
+
 Status AnnotationStore::Flush() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  const std::unique_lock<std::mutex> lock = LockIdleLog();
   if (!log_lost_.ok()) return log_lost_;
   return log_->Flush();
 }
 
 Status AnnotationStore::Sync() {
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  const std::unique_lock<std::mutex> lock = LockIdleLog();
   if (!log_lost_.ok()) return log_lost_;
   return log_->Sync();
 }
 
 Status AnnotationStore::wal_error() const {
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  const std::unique_lock<std::mutex> lock = LockIdleLog();
   if (!log_lost_.ok()) return log_lost_;
   return log_->sticky_error();
 }

@@ -330,6 +330,9 @@ class AnnotationStore {
   Status CommitFrame(uint8_t type, std::span<const uint8_t> payload,
                      bool sync, const std::function<void()>& apply);
 
+  /// Locks `commit_mu_` once no group-commit leader is writing the log.
+  std::unique_lock<std::mutex> LockIdleLog() const;
+
   /// Runs `Compact()` when auto-compaction is configured and the garbage
   /// ratio crossed the threshold. Never surfaces a failure.
   void MaybeAutoCompact();
@@ -361,7 +364,7 @@ class AnnotationStore {
   /// Group-commit queue state; `commit_mu_` also guards `log_` itself
   /// between leader rounds and the byte accounting below.
   mutable std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
+  mutable std::condition_variable commit_cv_;
   std::vector<Commit*> commit_queue_;
   bool leader_active_ = false;
   /// Set only if compaction installed a new log but could not reopen it

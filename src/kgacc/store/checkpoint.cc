@@ -61,26 +61,4 @@ Status CheckpointManager::Resume(EvaluationSession* session) const {
   return session->LoadState(&reader);
 }
 
-Result<EvaluationResult> RunDurableAudit(EvaluationSession& session,
-                                         CheckpointManager& manager,
-                                         const StoredAnnotator* annotator) {
-  if (manager.CanResume() && session.iterations() == 0 && !session.done()) {
-    KGACC_RETURN_IF_ERROR(manager.Resume(&session));
-  }
-  while (!session.done()) {
-    KGACC_ASSIGN_OR_RETURN(const StepOutcome outcome, session.Step());
-    (void)outcome;
-    // Fail before checkpointing a step whose labels never reached the log:
-    // a snapshot must not certify state the WAL cannot replay.
-    if (annotator != nullptr) {
-      KGACC_RETURN_IF_ERROR(annotator->status());
-    }
-    KGACC_RETURN_IF_ERROR(manager.OnStep(session));
-  }
-  if (annotator != nullptr) {
-    KGACC_RETURN_IF_ERROR(annotator->status());
-  }
-  return session.Finish();
-}
-
 }  // namespace kgacc

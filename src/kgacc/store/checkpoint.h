@@ -53,8 +53,8 @@ class CheckpointManager {
                     const CheckpointOptions& options = {});
 
   /// Step hook: snapshots the session when its step count hits the cadence.
-  /// Call after every successful `Step()` (or install via
-  /// `EvaluationJob::on_step`).
+  /// `AuditRunner` calls it after every step whose labels reached the log
+  /// (or install it via `EvaluationJob::on_step`).
   Status OnStep(const EvaluationSession& session);
 
   /// Unconditionally snapshots the session now.
@@ -92,19 +92,6 @@ class CheckpointManager {
   Status degraded_cause_;
   uint64_t retries_ = 0;
 };
-
-/// Drives a session to completion under checkpoint protection: resumes from
-/// the store when a checkpoint exists (unless the session already stepped),
-/// then steps with `manager.OnStep` after every batch and finalizes. The
-/// one-call durable equivalent of `EvaluationSession::Run`.
-///
-/// Pass the session's `StoredAnnotator` so its sticky append status is
-/// checked every step: a judgment the WAL refused (I/O failure, label
-/// conflict) fails the audit instead of letting the report silently outrun
-/// its log. Omit it only when the annotator is not store-backed.
-Result<EvaluationResult> RunDurableAudit(
-    EvaluationSession& session, CheckpointManager& manager,
-    const StoredAnnotator* annotator = nullptr);
 
 }  // namespace kgacc
 

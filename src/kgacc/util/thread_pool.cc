@@ -52,7 +52,7 @@ std::function<void()> TaskRing::PopBack() {
   return std::move(slots_[(head_ + count_) & (slots_.size() - 1)]);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
+ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
   KGACC_CHECK(num_threads >= 1);
   shards_ = std::make_unique<Shard[]>(num_threads);
   workers_.reserve(num_threads);
@@ -105,7 +105,7 @@ void ThreadPool::NotifyIfSleepers(int home) {
 
 void ThreadPool::Submit(std::function<void()> task) {
   SubmitTo(static_cast<int>(next_home_.fetch_add(1, std::memory_order_relaxed) %
-                            workers_.size()),
+                            static_cast<uint64_t>(num_threads_)),
            std::move(task));
 }
 
@@ -222,23 +222,6 @@ void ThreadPool::WorkerLoop(int self) {
     sleepers_.fetch_sub(1);
     if (shutting_down_.load() && queued_.load() == 0) return;
   }
-}
-
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&, i] {
-      fn(i);
-      std::unique_lock<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace kgacc

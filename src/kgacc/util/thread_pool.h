@@ -6,11 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 /// \file thread_pool.h
@@ -24,9 +22,8 @@
 /// between workers at all — the global counters below are touched once per
 /// task, not once per audit.
 ///
-/// `AhpdSelectParallel` dispatches one task per prior through this pool so
-/// wall-clock cost stays flat as the prior set grows; `EvaluationService`
-/// routes whole pinning groups to their home workers via `SubmitTo`.
+/// `EvaluationService` routes whole pinning groups to their home workers
+/// via `SubmitTo`; `AuditDaemon` pins each audit's batches the same way.
 
 namespace kgacc {
 
@@ -79,22 +76,10 @@ class ThreadPool {
   /// dry, in which case the whole task is stolen (never split).
   void SubmitTo(int worker, std::function<void()> task);
 
-  /// Enqueues a value-returning task and hands back a future for its
-  /// result. The task must not throw (pool invariant); use `Result<T>`
-  /// return types for fallible work.
-  template <typename F>
-  auto SubmitWithResult(F func) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(func));
-    std::future<R> future = task->get_future();
-    Submit([task] { (*task)(); });
-    return future;
-  }
-
   /// Blocks until every submitted task has finished executing.
   void Wait();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return num_threads_; }
 
   /// Index of the pool worker the calling thread is, or -1 when the caller
   /// is not one of this pool's workers.
@@ -166,6 +151,9 @@ class ThreadPool {
   /// (scan from home) so parked-home work is still picked up by a thief.
   void NotifyIfSleepers(int home);
 
+  /// Fixed before any worker spawns: workers read it while the
+  /// constructor is still filling `workers_`.
+  const int num_threads_;
   std::unique_ptr<Shard[]> shards_;
   std::vector<std::thread> workers_;
   /// Tasks sitting in rings (not yet popped). The sleep predicate.
@@ -189,14 +177,6 @@ class ThreadPool {
   std::condition_variable done_cv_;
   double spawn_seconds_ = 0.0;
 };
-
-/// Runs `fn(0), ..., fn(n - 1)` on the pool and blocks until all calls have
-/// completed. Tracks its own completion count, so it is safe to use while
-/// unrelated tasks are in flight on the same pool — unlike `pool.Wait()`,
-/// which waits for everything. Must not be called from inside a pool task
-/// (the waiting thread would occupy a worker slot and can deadlock).
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace kgacc
 

@@ -16,9 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include "kgacc/eval/report.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/store/annotation_store.h"
+#include "kgacc/store/checkpoint.h"
+#include "kgacc/util/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -157,6 +160,73 @@ TEST(ServiceStoreTest, SecondBatchOverPopulatedStorePaysZeroOracleCalls) {
   EXPECT_GT(hits, 0u);
   EXPECT_EQ(second.stats.store_oracle_calls, 0u);
   EXPECT_EQ(second.stats.store_hits, hits);
+  std::remove(path.c_str());
+}
+
+TEST(ServiceStoreTest, RefusedLabelIsNeverCheckpointedAndResumeRejudgesIt) {
+  // Regression: a fail-fast store job whose on_step hook checkpoints used
+  // to keep snapshotting past a refused label (the store status was only
+  // checked once the job ended), so a resume restored a state the WAL
+  // could not replay and never re-judged the lost labels.
+  const auto kg = MakeKg();
+  const std::string path = TempPath("refused");
+  std::remove(path.c_str());
+  OracleAnnotator oracle;
+  SrsSampler srs(kg, SrsConfig{});
+  constexpr uint64_t kSeed = 5;
+  constexpr uint64_t kAuditId = 9;
+  const EvaluationResult reference =
+      *RunEvaluation(srs, oracle, EvaluationConfig{}, kSeed);
+  ASSERT_GE(reference.iterations, 4);
+
+  {
+    auto store = AnnotationStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    CheckpointManager manager(store->get(), kAuditId);
+    EvaluationJob job;
+    job.sampler = &srs;
+    job.annotator = &oracle;
+    job.store = store->get();
+    job.audit_id = kAuditId;
+    job.store_options.write_error_mode =
+        StoredAnnotator::WriteErrorMode::kFailFast;
+    job.seed = kSeed;
+    // Steps 1-2 are healthy; then every append attempt of the first new
+    // label of step 3 fails, exhausting its retry budget.
+    job.on_step = [&](const EvaluationSession& session) {
+      if (session.iterations() == 2) {
+        EXPECT_TRUE(
+            FailpointRegistry::Instance().Arm("store.append=times:4").ok());
+      }
+      return manager.OnStep(session);
+    };
+    EvaluationService service(EvaluationService::Options{.num_threads = 1});
+    const auto batch = service.RunBatch({job});
+    FailpointRegistry::Instance().DisarmAll();
+    EXPECT_EQ(batch.outcomes[0].status.code(), StatusCode::kIoError);
+    // No checkpoint after the step whose label was refused.
+    EXPECT_EQ(manager.checkpoints_written(), 2u);
+  }
+
+  // Disarmed resume: it restarts from step 2, re-judges step 3's refused
+  // labels, and lands on the uninterrupted report.
+  auto store = AnnotationStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  StoredAnnotator annotator(&oracle, store->get(), kAuditId);
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationSession session(sampler, annotator, EvaluationConfig{}, kSeed);
+  CheckpointManager manager(store->get(), kAuditId);
+  ASSERT_TRUE(manager.Resume(&session).ok());
+  EXPECT_EQ(session.iterations(), 2);
+  const auto resumed = session.Run();
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_TRUE(annotator.status().ok());
+  EXPECT_GT(annotator.oracle_calls(), 0u);
+  ReportContext context;
+  context.dataset_name = "refused";
+  context.design_name = "SRS";
+  EXPECT_EQ(RenderJsonReport(context, EvaluationConfig{}, *resumed),
+            RenderJsonReport(context, EvaluationConfig{}, reference));
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -13,6 +15,7 @@
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
 #include "kgacc/stats/replication.h"
+#include "kgacc/util/failpoint.h"
 
 #include <gtest/gtest.h>
 
@@ -66,6 +69,19 @@ std::vector<EvaluationJob> MixedJobs(const Sampler& srs, const Sampler& twcs,
   return jobs;
 }
 
+/// Each job run on its own fresh sampler clone through RunEvaluation — the
+/// reference every service execution shape must reproduce.
+std::vector<EvaluationResult> DirectResults(
+    const std::vector<EvaluationJob>& jobs) {
+  std::vector<EvaluationResult> results;
+  for (const EvaluationJob& job : jobs) {
+    auto clone = job.sampler->Clone();
+    results.push_back(
+        *RunEvaluation(*clone, *job.annotator, job.config, job.seed));
+  }
+  return results;
+}
+
 TEST(EvaluationServiceTest, ResultsAreIndependentOfThreadCount) {
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
@@ -94,27 +110,20 @@ TEST(EvaluationServiceTest, ResultsAreIndependentOfThreadCount) {
   }
 }
 
-TEST(EvaluationServiceTest, PinnedAndUnpinnedExecutionAgree) {
+TEST(EvaluationServiceTest, ContextReuseMatchesRunEvaluation) {
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{.without_replacement = true});
   TwcsSampler twcs(kg, TwcsConfig{});
   const auto jobs = MixedJobs(srs, twcs, annotator);
-
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 2, .reuse_contexts = false});
-  const auto reference = unpinned.RunBatch(jobs);
-  for (const auto& outcome : reference.outcomes) {
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
+  const std::vector<EvaluationResult> reference = DirectResults(jobs);
 
   // Context reuse (warm sampler clones + recycled scratch) must be
   // invisible in the results, at several pinning granularities. Running two
   // batches back to back also exercises reuse of contexts *across* batches.
   for (const int groups_per_thread : {1, 4}) {
     EvaluationService pinned(EvaluationService::Options{
-        .num_threads = 2, .reuse_contexts = true,
-        .groups_per_thread = groups_per_thread});
+        .num_threads = 2, .groups_per_thread = groups_per_thread});
     for (int round = 0; round < 2; ++round) {
       const auto batch = pinned.RunBatch(jobs);
       ASSERT_EQ(batch.outcomes.size(), jobs.size());
@@ -122,8 +131,7 @@ TEST(EvaluationServiceTest, PinnedAndUnpinnedExecutionAgree) {
         SCOPED_TRACE(jobs[i].label + " g" + std::to_string(groups_per_thread) +
                      " round " + std::to_string(round));
         ASSERT_TRUE(batch.outcomes[i].status.ok());
-        ExpectSameResult(reference.outcomes[i].result,
-                         batch.outcomes[i].result);
+        ExpectSameResult(reference[i], batch.outcomes[i].result);
       }
     }
   }
@@ -217,49 +225,52 @@ TEST(EvaluationServiceTest, DeriveJobSeedSplitsIntoDistinctStreams) {
             EvaluationService::DeriveJobSeed(2, 0));
 }
 
-TEST(RunReplicationsParallelTest, MatchesSerialProtocolExactly) {
+TEST(RunReplicationsTest, MatchesRunEvaluationLoopAcrossThreadCounts) {
+  // The replication protocol runs as service jobs; for every thread count
+  // it must equal a plain RunEvaluation loop over seeds base_seed + i.
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
   EvaluationConfig config;
   const int reps = 40;
-  EvaluationService service(EvaluationService::Options{.num_threads = 4});
-
-  {
-    SrsSampler serial_sampler(kg, SrsConfig{});
-    const auto serial =
-        *RunReplications(serial_sampler, annotator, config, reps, 1000);
-    SrsSampler parallel_sampler(kg, SrsConfig{});
-    const auto parallel = *RunReplicationsParallel(
-        service, parallel_sampler, annotator, config, reps, 1000);
-    EXPECT_EQ(serial.triples, parallel.triples);
-    EXPECT_EQ(serial.cost_hours, parallel.cost_hours);
-    EXPECT_EQ(serial.mu, parallel.mu);
-    EXPECT_EQ(serial.interval_widths, parallel.interval_widths);
-    EXPECT_EQ(serial.unconverged, parallel.unconverged);
-    EXPECT_EQ(serial.zero_width, parallel.zero_width);
-    EXPECT_EQ(serial.prior_wins, parallel.prior_wins);
-  }
-  {
-    TwcsSampler serial_sampler(kg, TwcsConfig{});
-    const auto serial =
-        *RunReplications(serial_sampler, annotator, config, reps, 2000);
-    TwcsSampler parallel_sampler(kg, TwcsConfig{});
-    const auto parallel = *RunReplicationsParallel(
-        service, parallel_sampler, annotator, config, reps, 2000);
-    EXPECT_EQ(serial.triples, parallel.triples);
-    EXPECT_EQ(serial.mu, parallel.mu);
-  }
-  {
-    // Stratified designs too: Reset() restores fresh carry state, so the
-    // serial reuse protocol and per-job clones see identical streams.
-    StratifiedSampler serial_sampler(kg, StratifiedConfig{});
-    const auto serial =
-        *RunReplications(serial_sampler, annotator, config, reps, 3000);
-    StratifiedSampler parallel_sampler(kg, StratifiedConfig{});
-    const auto parallel = *RunReplicationsParallel(
-        service, parallel_sampler, annotator, config, reps, 3000);
-    EXPECT_EQ(serial.triples, parallel.triples);
-    EXPECT_EQ(serial.mu, parallel.mu);
+  SrsSampler srs(kg, SrsConfig{});
+  TwcsSampler twcs(kg, TwcsConfig{});
+  // Stratified designs too: Reset() restores fresh carry state, so the
+  // reused serial sampler and per-job clones see identical streams.
+  StratifiedSampler ssrs(kg, StratifiedConfig{});
+  const std::vector<Sampler*> samplers = {&srs, &twcs, &ssrs};
+  for (size_t d = 0; d < samplers.size(); ++d) {
+    SCOPED_TRACE(samplers[d]->name());
+    const uint64_t base_seed = 1000 * (d + 1);
+    std::vector<EvaluationResult> loop;
+    for (int rep = 0; rep < reps; ++rep) {
+      loop.push_back(
+          *RunEvaluation(*samplers[d], annotator, config, base_seed + rep));
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      EvaluationService service(
+          EvaluationService::Options{.num_threads = threads});
+      const auto summary = *RunReplications(service, *samplers[d], annotator,
+                                            config, reps, base_seed);
+      ASSERT_EQ(summary.triples.size(), loop.size());
+      int unconverged = 0;
+      int zero_width = 0;
+      std::vector<int> prior_wins(summary.prior_wins.size(), 0);
+      for (int rep = 0; rep < reps; ++rep) {
+        const EvaluationResult& r = loop[rep];
+        EXPECT_EQ(summary.triples[rep],
+                  static_cast<double>(r.annotated_triples));
+        EXPECT_EQ(summary.cost_hours[rep], r.cost_hours);
+        EXPECT_EQ(summary.mu[rep], r.mu);
+        EXPECT_EQ(summary.interval_widths[rep], r.interval.Width());
+        if (!r.converged) ++unconverged;
+        if (r.interval.Width() == 0.0) ++zero_width;
+        ++prior_wins[r.winning_prior];
+      }
+      EXPECT_EQ(summary.unconverged, unconverged);
+      EXPECT_EQ(summary.zero_width, zero_width);
+      EXPECT_EQ(summary.prior_wins, prior_wins);
+    }
   }
 }
 
@@ -294,8 +305,7 @@ TEST(SamplerCloneTest, ClonesAreIndependentAndEquivalent) {
 
 TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
   // The per-thread HPD counters must fold into the batch stats — and,
-  // being pure algorithm properties, agree exactly across thread counts
-  // and with a pinned-vs-unpinned cross-check.
+  // being pure algorithm properties, agree exactly across thread counts.
   const auto kg = MakeKg(0.85);
   OracleAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{});
@@ -318,14 +328,6 @@ TEST(EvaluationServiceTest, HpdStatsAggregateAcrossWorkers) {
             baseline.stats.hpd.warm_cache_hits);
   EXPECT_EQ(parallel.stats.hpd.newton.solves,
             baseline.stats.hpd.newton.solves);
-
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 4, .reuse_contexts = false});
-  const auto fresh = unpinned.RunBatch(jobs);
-  EXPECT_EQ(fresh.stats.hpd.total_solves(),
-            baseline.stats.hpd.total_solves());
-  EXPECT_EQ(fresh.stats.hpd.total_beta_evals(),
-            baseline.stats.hpd.total_beta_evals());
 }
 
 TEST(EvaluationServiceTest, RegisteredPrototypesKeepClonesAcrossBatches) {
@@ -374,11 +376,10 @@ TEST(EvaluationServiceTest, RegisteredPrototypesKeepClonesAcrossBatches) {
   EXPECT_EQ(service.sampler_clones_created(), after_unregister + 1);
 }
 
-TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsGroupingAndReuse) {
+TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsAndGrouping) {
   // The determinism contract, hammered: the same batch through every
-  // execution shape — thread counts {1, 2, 4, hardware}, context reuse on
-  // and off, and group-size extremes — must be byte-identical to the
-  // single-threaded fresh-state reference.
+  // execution shape — thread counts {1, 2, 4, hardware} and group-size
+  // extremes — must be byte-identical to plain RunEvaluation calls.
   const auto kg = MakeKg(0.85);
   NoisyAnnotator annotator(0.1);  // Stochastic: Rng misuse would show here.
   SrsSampler srs(kg, SrsConfig{.without_replacement = true});
@@ -398,35 +399,25 @@ TEST(EvaluationServiceTest, StressByteIdenticalAcrossThreadsGroupingAndReuse) {
     }
   }
 
-  EvaluationService reference_service(EvaluationService::Options{
-      .num_threads = 1, .reuse_contexts = false});
-  const auto reference = reference_service.RunBatch(jobs);
-  for (const auto& outcome : reference.outcomes) {
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  }
+  const std::vector<EvaluationResult> reference = DirectResults(jobs);
 
   std::set<int> thread_counts{1, 2, 4};
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw > 0) thread_counts.insert(static_cast<int>(hw));
   for (const int threads : thread_counts) {
-    for (const bool reuse : {true, false}) {
-      // min_jobs_per_group = 1 removes the grouping floor, maximizing the
-      // number of groups (and so steal pressure) for the reuse path.
-      for (const int min_per_group : {1, 8}) {
-        EvaluationService service(EvaluationService::Options{
-            .num_threads = threads, .reuse_contexts = reuse,
-            .min_jobs_per_group = min_per_group});
-        const auto batch = service.RunBatch(jobs);
-        ASSERT_EQ(batch.outcomes.size(), jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i) {
-          SCOPED_TRACE("job " + std::to_string(i) + " @" +
-                       std::to_string(threads) + "t reuse=" +
-                       std::to_string(reuse) + " min=" +
-                       std::to_string(min_per_group));
-          ASSERT_TRUE(batch.outcomes[i].status.ok());
-          ExpectSameResult(reference.outcomes[i].result,
-                           batch.outcomes[i].result);
-        }
+    // min_jobs_per_group = 1 removes the grouping floor, maximizing the
+    // number of groups (and so steal pressure).
+    for (const int min_per_group : {1, 8}) {
+      EvaluationService service(EvaluationService::Options{
+          .num_threads = threads, .min_jobs_per_group = min_per_group});
+      const auto batch = service.RunBatch(jobs);
+      ASSERT_EQ(batch.outcomes.size(), jobs.size());
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE("job " + std::to_string(i) + " @" +
+                     std::to_string(threads) + "t min=" +
+                     std::to_string(min_per_group));
+        ASSERT_TRUE(batch.outcomes[i].status.ok());
+        ExpectSameResult(reference[i], batch.outcomes[i].result);
       }
     }
   }
@@ -498,16 +489,6 @@ TEST(EvaluationServiceTest, BatchStatsReportTheTimingSplit) {
   const auto second = service.RunBatch(jobs);
   EXPECT_EQ(second.stats.spawn_seconds, 0.0);
   EXPECT_GT(second.stats.run_seconds, 0.0);
-
-  // The unpinned path runs one task per job and reports that as the group
-  // count; handoff phases do not exist there and stay zero.
-  EvaluationService unpinned(EvaluationService::Options{
-      .num_threads = 2, .reuse_contexts = false});
-  const auto fresh = unpinned.RunBatch(jobs);
-  EXPECT_EQ(fresh.stats.groups, jobs.size());
-  EXPECT_EQ(fresh.stats.submit_seconds, 0.0);
-  EXPECT_EQ(fresh.stats.barrier_seconds, 0.0);
-  EXPECT_GT(fresh.stats.run_seconds, 0.0);
 }
 
 TEST(EvaluationServiceTest, OnStepHookObservesEveryIterationAndCanAbort) {
@@ -653,27 +634,45 @@ TEST(EvaluationServiceTest, BudgetsGenerousEnoughDoNotPerturbResults) {
   EXPECT_FALSE(batch.outcomes[1].deadline_exceeded);
 }
 
-TEST(EvaluationServiceTest, RobustnessCollectorFlowsIntoOutcomeAndStats) {
+TEST(EvaluationServiceTest, DegradedStoreJobFlowsIntoOutcomeAndStats) {
+  // A store-backed job whose appends keep failing degrades (default
+  // policy): the job still succeeds, and its runner's counters surface the
+  // downgrade and the retries in the outcome and the batch stats.
   const auto kg = MakeKg(0.85, 500);
   OracleAnnotator annotator;
   SrsSampler srs(kg, SrsConfig{});
   EvaluationService service(EvaluationService::Options{.num_threads = 2});
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "kgacc_service_degraded.wal")
+          .string();
+  std::remove(path.c_str());
+  auto store = AnnotationStore::Open(path);
+  ASSERT_TRUE(store.ok());
 
   EvaluationJob clean;
   clean.sampler = &srs;
   clean.annotator = &annotator;
   clean.seed = 8;
   EvaluationJob shaky = clean;
-  shaky.robustness = [] { return JobRobustness{true, 7}; };
+  shaky.store = store->get();
+  shaky.audit_id = 1;
+  shaky.store_options.backoff.initial_delay_ms = 0;
+  shaky.store_options.backoff.max_delay_ms = 0;
+  ScopedFailpoints armed("store.append=prob:1");
+  ASSERT_TRUE(armed.status().ok());
   const auto batch = service.RunBatch({clean, shaky});
   ASSERT_EQ(batch.outcomes.size(), 2u);
+  ASSERT_TRUE(batch.outcomes[1].status.ok());
   EXPECT_FALSE(batch.outcomes[0].degraded);
   EXPECT_EQ(batch.outcomes[0].retries, 0u);
   EXPECT_TRUE(batch.outcomes[1].degraded);
-  EXPECT_EQ(batch.outcomes[1].retries, 7u);
+  EXPECT_GT(batch.outcomes[1].retries, 0u);
+  EXPECT_TRUE(batch.outcomes[1].result.degraded);
   EXPECT_EQ(batch.stats.degraded_jobs, 1u);
-  EXPECT_EQ(batch.stats.total_retries, 7u);
+  EXPECT_EQ(batch.stats.total_retries, batch.outcomes[1].retries);
   EXPECT_EQ(batch.stats.deadline_hits, 0u);
+  ExpectSameResult(batch.outcomes[0].result, batch.outcomes[1].result);
+  std::remove(path.c_str());
 }
 
 TEST(EvaluationServiceTest, UnarmedDefaultReportsZeroRobustnessCounters) {

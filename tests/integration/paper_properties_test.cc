@@ -10,6 +10,14 @@ namespace {
 
 constexpr int kReps = 60;
 
+/// One service for every replication in this file (RunReplications runs
+/// its repetitions as service jobs).
+EvaluationService& Service() {
+  static EvaluationService service(
+      EvaluationService::Options{.num_threads = 2});
+  return service;
+}
+
 ReplicationSummary Replicate(const KgView& kg, IntervalMethod method,
                              double alpha, uint64_t seed,
                              bool twcs = false, int m = 3) {
@@ -19,10 +27,10 @@ ReplicationSummary Replicate(const KgView& kg, IntervalMethod method,
   config.alpha = alpha;
   if (twcs) {
     TwcsSampler sampler(kg, TwcsConfig{.second_stage_size = m});
-    return *RunReplications(sampler, annotator, config, kReps, seed);
+    return *RunReplications(Service(), sampler, annotator, config, kReps, seed);
   }
   SrsSampler sampler(kg, SrsConfig{});
-  return *RunReplications(sampler, annotator, config, kReps, seed);
+  return *RunReplications(Service(), sampler, annotator, config, kReps, seed);
 }
 
 TEST(PaperPropertiesTest, HpdBeatsEtOnSkewedAccuracy) {
@@ -34,13 +42,13 @@ TEST(PaperPropertiesTest, HpdBeatsEtOnSkewedAccuracy) {
   et.method = IntervalMethod::kEqualTailed;
   et.priors = {KermanPrior()};
   SrsSampler s1(kg, SrsConfig{});
-  const auto et_summary = *RunReplications(s1, annotator, et, kReps, 10);
+  const auto et_summary = *RunReplications(Service(), s1, annotator, et, kReps, 10);
 
   EvaluationConfig hpd;
   hpd.method = IntervalMethod::kHpd;
   hpd.priors = {KermanPrior()};
   SrsSampler s2(kg, SrsConfig{});
-  const auto hpd_summary = *RunReplications(s2, annotator, hpd, kReps, 10);
+  const auto hpd_summary = *RunReplications(Service(), s2, annotator, hpd, kReps, 10);
 
   EXPECT_LE(hpd_summary.triples_summary.mean,
             et_summary.triples_summary.mean + 1.0);
@@ -58,12 +66,12 @@ TEST(PaperPropertiesTest, AhpdNeverWorseThanFixedPriorHpd) {
     fixed.priors = {prior};
     SrsSampler s1(kg, SrsConfig{});
     const auto fixed_summary =
-        *RunReplications(s1, annotator, fixed, kReps, 20);
+        *RunReplications(Service(), s1, annotator, fixed, kReps, 20);
 
     EvaluationConfig adaptive;  // Default aHPD trio.
     SrsSampler s2(kg, SrsConfig{});
     const auto ahpd_summary =
-        *RunReplications(s2, annotator, adaptive, kReps, 20);
+        *RunReplications(Service(), s2, annotator, adaptive, kReps, 20);
 
     EXPECT_LE(ahpd_summary.triples_summary.mean,
               fixed_summary.triples_summary.mean + 1.0)
@@ -155,7 +163,7 @@ TEST(PaperPropertiesTest, WaldZeroWidthFrequencyOnNellLikeData) {
   EvaluationConfig config;
   config.method = IntervalMethod::kWald;
   SrsSampler sampler(kg, SrsConfig{});
-  const auto summary = *RunReplications(sampler, annotator, config, 200, 80);
+  const auto summary = *RunReplications(Service(), sampler, annotator, config, 200, 80);
   const double rate = summary.zero_width / 200.0;
   EXPECT_GT(rate, 0.005);
   EXPECT_LT(rate, 0.4);
@@ -171,12 +179,12 @@ TEST(PaperPropertiesTest, InformativePriorsCutCosts) {
   informed.priors = {*InformativePrior(0.80, 100.0),
                      *InformativePrior(0.90, 100.0)};
   TwcsSampler s1(kg, TwcsConfig{});
-  const auto inf_summary = *RunReplications(s1, annotator, informed, kReps, 90);
+  const auto inf_summary = *RunReplications(Service(), s1, annotator, informed, kReps, 90);
 
   EvaluationConfig uninformed;  // Kerman/Jeffreys/Uniform.
   TwcsSampler s2(kg, TwcsConfig{});
   const auto uninf_summary =
-      *RunReplications(s2, annotator, uninformed, kReps, 90);
+      *RunReplications(Service(), s2, annotator, uninformed, kReps, 90);
 
   EXPECT_LT(inf_summary.triples_summary.mean,
             0.7 * uninf_summary.triples_summary.mean);

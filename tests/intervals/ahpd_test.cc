@@ -1,7 +1,5 @@
 #include "kgacc/intervals/ahpd.h"
 
-#include <future>
-
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -93,66 +91,17 @@ TEST(AhpdTest, FractionalEffectiveSamplesWork) {
   EXPECT_GT(choice->interval.Width(), 0.0);
 }
 
-TEST(AhpdParallelTest, MatchesSerialExactly) {
-  ThreadPool pool(4);
-  const auto priors = DefaultUninformativePriors();
-  for (const double tau : {0.0, 12.0, 27.5, 30.0}) {
-    const auto serial = *AhpdSelect(priors, tau, 30, 0.05);
-    const auto parallel = *AhpdSelectParallel(priors, tau, 30, 0.05, &pool);
-    EXPECT_DOUBLE_EQ(parallel.interval.lower, serial.interval.lower) << tau;
-    EXPECT_DOUBLE_EQ(parallel.interval.upper, serial.interval.upper) << tau;
-    EXPECT_EQ(parallel.prior_index, serial.prior_index) << tau;
-    EXPECT_EQ(parallel.candidates.size(), serial.candidates.size());
-  }
-}
-
-TEST(AhpdParallelTest, NullPoolFallsBackToSerial) {
-  const auto priors = DefaultUninformativePriors();
-  const auto choice = AhpdSelectParallel(priors, 20, 30, 0.05, nullptr);
-  ASSERT_TRUE(choice.ok());
-  const auto serial = *AhpdSelect(priors, 20, 30, 0.05);
-  EXPECT_DOUBLE_EQ(choice->interval.lower, serial.interval.lower);
-}
-
-TEST(AhpdParallelTest, ManyPriorsAllEvaluated) {
-  ThreadPool pool(3);
+TEST(AhpdTest, ManyPriorsAllEvaluated) {
   std::vector<BetaPrior> priors = DefaultUninformativePriors();
   for (int i = 1; i <= 12; ++i) {
     priors.push_back(*InformativePrior(i / 13.0, 20.0));
   }
-  const auto choice = *AhpdSelectParallel(priors, 25, 30, 0.05, &pool);
+  const auto choice = *AhpdSelect(priors, 25, 30, 0.05);
   EXPECT_EQ(choice.candidates.size(), priors.size());
   for (const Interval& candidate : choice.candidates) {
     EXPECT_GE(choice.interval.Width(), 0.0);
     EXPECT_LE(choice.interval.Width(), candidate.Width() + 1e-12);
   }
-}
-
-TEST(AhpdParallelTest, RejectsEmptyPriorSet) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(AhpdSelectParallel({}, 10, 20, 0.05, &pool).ok());
-}
-
-TEST(AhpdParallelTest, DoesNotWaitForUnrelatedTasksOnTheSamePool) {
-  // Regression: the old implementation used pool->Wait(), which blocks on
-  // *everything* in flight — here an unrelated task that only finishes
-  // after we let it. With per-task futures the selection returns first;
-  // with Wait() this test would hang.
-  ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
-
-  const auto priors = DefaultUninformativePriors();
-  const auto serial = *AhpdSelect(priors, 25, 30, 0.05);
-  const auto parallel = AhpdSelectParallel(priors, 25, 30, 0.05, &pool);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_DOUBLE_EQ(parallel->interval.lower, serial.interval.lower);
-  EXPECT_DOUBLE_EQ(parallel->interval.upper, serial.interval.upper);
-  EXPECT_EQ(parallel->prior_index, serial.prior_index);
-
-  release.set_value();  // Only now may the unrelated task finish.
-  pool.Wait();
 }
 
 TEST(AhpdWarmTest, WarmStartedSelectionTracksColdSelection) {
@@ -207,23 +156,6 @@ TEST(AhpdWarmTest, PriorSetSizeChangeInvalidatesTheCarry) {
   ASSERT_TRUE(AhpdSelect(priors, 22, 33, 0.05, {}, &warm).ok());
   EXPECT_EQ(warm.priors.size(), 4u);
   for (const auto& state : warm.priors) EXPECT_TRUE(state.valid);
-}
-
-TEST(AhpdWarmTest, ParallelWarmMatchesSerialWarm) {
-  ThreadPool pool(3);
-  const auto priors = DefaultUninformativePriors();
-  AhpdWarmState serial_warm, parallel_warm;
-  for (int step = 1; step <= 6; ++step) {
-    const double n = 15.0 * step;
-    const double tau = 0.8 * n;
-    const auto serial =
-        *AhpdSelect(priors, tau, n, 0.05, {}, &serial_warm);
-    const auto parallel = *AhpdSelectParallel(priors, tau, n, 0.05, &pool, {},
-                                              &parallel_warm);
-    EXPECT_DOUBLE_EQ(parallel.interval.lower, serial.interval.lower) << step;
-    EXPECT_DOUBLE_EQ(parallel.interval.upper, serial.interval.upper) << step;
-    EXPECT_EQ(parallel.prior_index, serial.prior_index) << step;
-  }
 }
 
 TEST(AhpdWarmTest, CarriedHessianMatchesIdentityRestart) {

@@ -548,6 +548,50 @@ TEST(AuditDaemonTest, GracefulDrainCheckpointsAndResumesElsewhere) {
   }
 }
 
+TEST(AuditDaemonTest, CheckpointFailuresAtDetachAndDrainAreCounted) {
+  // The detach/drain snapshots are not best-effort (void) calls: a failing
+  // one is counted in the stats line, and the daemon still drains cleanly.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("ckpt_fail");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+  OpenAuditMsg open;
+  open.audit_id = 12;
+  open.kg_name = "kg";
+  open.checkpoint_every = 100;  // Steps leave the snapshot to the detach.
+  ASSERT_TRUE(
+      peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open)).ok());
+  auto opened = peer.Read();
+  ASSERT_TRUE(opened.ok());
+  ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
+  StepBatchMsg batch;
+  batch.audit_id = 12;
+  batch.steps = 2;
+  ASSERT_TRUE(
+      peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+          .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto update = peer.Read();
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    ASSERT_EQ(update->type,
+              static_cast<uint8_t>(MessageType::kIntervalUpdate));
+  }
+  EXPECT_EQ(daemon.stats().checkpoint_failures.load(), 0u);
+
+  ScopedFailpoints armed("store.checkpoint=prob:1");
+  ASSERT_TRUE(armed.status().ok());
+  daemon.RequestDrain();
+  while (peer.Read().ok()) {
+  }
+  daemon.Wait();
+  EXPECT_GT(daemon.stats().checkpoint_failures.load(), 0u);
+  EXPECT_NE(daemon.StatsLine().find("ckpt_failed=1"), std::string::npos)
+      << daemon.StatsLine();
+}
+
 TEST(AuditDaemonTest, DrainingDaemonAnswersBusyAtOpen) {
   const KnowledgeGraph kg = TestKg();
   const std::string dir = TempDir("drain_busy");

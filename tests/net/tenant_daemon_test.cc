@@ -250,6 +250,60 @@ TEST(TenantDaemonTest, BudgetExhaustionStarvesOneTenantNotTheOther) {
   }
 }
 
+TEST(TenantDaemonTest, ReopeningOneStepPastTheBudgetChargesEveryStep) {
+  // A client that reopens its audit with a step budget one past the
+  // current step each time still pays for every step it runs: the step
+  // that reaches the budget is metered (and its interval reported), and
+  // the budget stop comes at the next step, which never runs.
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  const std::string tenants = "alice oracle_budget=1000000 weight=1\n";
+  OpenAuditMsg open;
+  open.audit_id = 1;
+  open.kg_name = "kg";
+
+  uint64_t uninterrupted_spend = 0;
+  {
+    AuditDaemon daemon(DaemonOptions(TempDir("step_once_ref"), tenants));
+    daemon.RegisterKg("kg", &kg);
+    ASSERT_TRUE(daemon.Start().ok());
+    AuditClient alice(ClientOptions(daemon.port(), "alice"));
+    auto report = alice.RunAudit(open);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    uninterrupted_spend = daemon.ledger()->Balance("alice").oracle_spent;
+    EXPECT_EQ(uninterrupted_spend, report->oracle_calls);
+    daemon.Stop();
+  }
+  ASSERT_GT(uninterrupted_spend, 0u);
+
+  AuditDaemon daemon(DaemonOptions(TempDir("step_once"), tenants));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  uint64_t legs = 0;
+  Result<AuditReportMsg> report = Status::Internal("not run");
+  for (uint64_t step = 0; step <= static_cast<uint64_t>(reference.iterations);
+       ++step) {
+    OpenAuditMsg budgeted = open;
+    budgeted.max_steps = step + 1;
+    AuditClient alice(ClientOptions(daemon.port(), "alice"));
+    report = alice.RunAudit(budgeted);
+    ++legs;
+    if (report.ok()) break;
+    ASSERT_EQ(report.status().code(), StatusCode::kDeadlineExceeded)
+        << report.status().ToString();
+    EXPECT_EQ(alice.stats().opened.start_step, step);
+    // Only the step that spent the budget reported its interval.
+    EXPECT_EQ(alice.stats().updates_received, 1u);
+  }
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(legs, 3u);
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  EXPECT_EQ(daemon.ledger()->Balance("alice").oracle_spent,
+            uninterrupted_spend);
+  daemon.Stop();
+}
+
 TEST(TenantDaemonTest, StoreQuotaOverrunDegradesButCompletesTheAudit) {
   const KnowledgeGraph kg = TestKg();
   const EvaluationResult reference = ReferenceRun(kg, 42);

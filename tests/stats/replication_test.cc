@@ -8,6 +8,14 @@
 namespace kgacc {
 namespace {
 
+/// One service for every replication in this file (RunReplications runs
+/// its repetitions as service jobs).
+EvaluationService& Service() {
+  static EvaluationService service(
+      EvaluationService::Options{.num_threads = 2});
+  return service;
+}
+
 SyntheticKg MakeKg(double accuracy) {
   SyntheticKgConfig cfg;
   cfg.num_clusters = 2000;
@@ -22,7 +30,7 @@ TEST(RunReplicationsTest, AggregatesAllRuns) {
   SrsSampler sampler(kg, SrsConfig{});
   OracleAnnotator annotator;
   EvaluationConfig config;
-  const auto summary = *RunReplications(sampler, annotator, config, 50, 1000);
+  const auto summary = *RunReplications(Service(), sampler, annotator, config, 50, 1000);
   EXPECT_EQ(summary.triples.size(), 50u);
   EXPECT_EQ(summary.cost_hours.size(), 50u);
   EXPECT_EQ(summary.mu.size(), 50u);
@@ -37,8 +45,8 @@ TEST(RunReplicationsTest, DeterministicAcrossCalls) {
   SrsSampler sampler(kg, SrsConfig{});
   OracleAnnotator annotator;
   EvaluationConfig config;
-  const auto a = *RunReplications(sampler, annotator, config, 20, 42);
-  const auto b = *RunReplications(sampler, annotator, config, 20, 42);
+  const auto a = *RunReplications(Service(), sampler, annotator, config, 20, 42);
+  const auto b = *RunReplications(Service(), sampler, annotator, config, 20, 42);
   EXPECT_EQ(a.triples, b.triples);
   EXPECT_EQ(a.cost_hours, b.cost_hours);
 }
@@ -49,7 +57,7 @@ TEST(RunReplicationsTest, SeedsAreConsecutive) {
   SrsSampler sampler(kg, SrsConfig{});
   OracleAnnotator annotator;
   EvaluationConfig config;
-  const auto batch = *RunReplications(sampler, annotator, config, 5, 100);
+  const auto batch = *RunReplications(Service(), sampler, annotator, config, 5, 100);
   const auto solo = *RunEvaluation(sampler, annotator, config, 103);
   EXPECT_DOUBLE_EQ(batch.triples[3],
                    static_cast<double>(solo.annotated_triples));
@@ -61,7 +69,7 @@ TEST(RunReplicationsTest, CountsZeroWidthRuns) {
   OracleAnnotator annotator;
   EvaluationConfig config;
   config.method = IntervalMethod::kWald;
-  const auto summary = *RunReplications(sampler, annotator, config, 20, 7);
+  const auto summary = *RunReplications(Service(), sampler, annotator, config, 20, 7);
   EXPECT_EQ(summary.zero_width, 20);
 }
 
@@ -70,7 +78,7 @@ TEST(RunReplicationsTest, TracksPriorWins) {
   SrsSampler sampler(kg, SrsConfig{});
   OracleAnnotator annotator;
   EvaluationConfig config;  // aHPD by default.
-  const auto summary = *RunReplications(sampler, annotator, config, 30, 9);
+  const auto summary = *RunReplications(Service(), sampler, annotator, config, 30, 9);
   int total_wins = 0;
   for (int w : summary.prior_wins) total_wins += w;
   EXPECT_EQ(total_wins, 30);
@@ -82,7 +90,7 @@ TEST(RunReplicationsTest, RejectsZeroReps) {
   const auto kg = MakeKg(0.9);
   SrsSampler sampler(kg, SrsConfig{});
   OracleAnnotator annotator;
-  EXPECT_FALSE(RunReplications(sampler, annotator, {}, 0, 1).ok());
+  EXPECT_FALSE(RunReplications(Service(), sampler, annotator, {}, 0, 1).ok());
 }
 
 }  // namespace

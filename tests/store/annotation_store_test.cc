@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -114,6 +115,53 @@ TEST(AnnotationStoreTest, RacingConflictingLabelsSurfaceTheConflict) {
     EXPECT_EQ((*reopened)->Lookup(k, 1),
               std::optional<bool>(as_true[k].ok()))
         << "key " << k;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AnnotationStoreTest, FlushAndSyncWaitOutTheGroupCommitLeader) {
+  // Regression: a group-commit leader writes and settles the WAL with the
+  // commit lock released, so Flush/Sync/wal_error must wait until no
+  // leader is active before touching the log (a data race under TSan:
+  // a daemon worker's final-step Flush against another worker's append).
+  const std::string path = TempPath("flush_race");
+  std::remove(path.c_str());
+  auto store = AnnotationStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  constexpr int kWriters = 4;
+  constexpr uint64_t kKeys = 300;
+  std::atomic<bool> writing{true};
+  std::vector<std::thread> writers;
+  std::vector<Status> appends(kWriters * kKeys);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        appends[w * kKeys + k] = (*store)->Append(w, w, k, k % 3 != 0);
+      }
+    });
+  }
+  uint64_t settles = 0;
+  std::thread settler([&] {
+    while (writing.load()) {
+      ASSERT_TRUE((*store)->Flush().ok());
+      ASSERT_TRUE((*store)->Sync().ok());
+      ASSERT_TRUE((*store)->wal_error().ok());
+      ++settles;
+    }
+  });
+  for (std::thread& t : writers) t.join();
+  writing.store(false);
+  settler.join();
+  EXPECT_GT(settles, 0u);
+  for (const Status& s : appends) ASSERT_TRUE(s.ok()) << s.ToString();
+  store->reset();
+  auto reopened = AnnotationStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->num_labeled(), kWriters * kKeys);
+  for (int w = 0; w < kWriters; ++w) {
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ((*reopened)->Lookup(w, k), std::optional<bool>(k % 3 != 0));
+    }
   }
   std::remove(path.c_str());
 }

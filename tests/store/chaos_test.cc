@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "kgacc/eval/report.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
@@ -205,16 +206,18 @@ TEST(ChaosTest, RandomFailpointSchedulesNeverBreakResumeExactness) {
       ASSERT_TRUE(store.ok())
           << "round " << round << " left a torn store: " << schedule;
       OracleAnnotator oracle;
-      StoredAnnotator annotator(&oracle, store->get(), seed, stored_options);
       SrsSampler sampler(kg, SrsConfig{});
-      EvaluationSession session(sampler, annotator, config, seed);
-      CheckpointManager manager(store->get(), seed, manager_options);
-      const auto result = RunDurableAudit(session, manager, &annotator);
-      ASSERT_TRUE(result.ok()) << "round " << round << ": " << schedule;
-      ASSERT_TRUE(annotator.status().ok());
-      EXPECT_FALSE(annotator.degraded());
-      EXPECT_EQ(annotator.retries(), 0u);
-      ExpectIdenticalResults(reference, *result, config, round);
+      AuditRunner runner(sampler, oracle, config, seed,
+                         {.store = store->get(),
+                          .audit_id = seed,
+                          .store_options = stored_options,
+                          .checkpoint = manager_options});
+      ASSERT_TRUE(runner.Resume().ok());
+      ASSERT_EQ(runner.Advance(), RunOutcome::kDone)
+          << "round " << round << ": " << schedule << ": "
+          << runner.status().ToString();
+      EXPECT_EQ(runner.counters().retries, 0u);
+      ExpectIdenticalResults(reference, runner.result(), config, round);
     }
     std::remove(path.c_str());
   }
@@ -248,11 +251,13 @@ TEST(ChaosTest, CompactionCrashMatrixLeavesStoreRecoverable) {
       ASSERT_TRUE(store.ok());
       for (int round = 0; round < 2; ++round) {
         OracleAnnotator oracle;
-        StoredAnnotator annotator(&oracle, store->get(), 1);
         SrsSampler sampler(kg, SrsConfig{});
-        EvaluationSession session(sampler, annotator, config, 61);
-        CheckpointManager manager(store->get(), 1, CheckpointOptions{});
-        ASSERT_TRUE(RunDurableAudit(session, manager, &annotator).ok());
+        AuditRunner runner(sampler, oracle, config, 61,
+                           {.store = store->get(),
+                            .audit_id = 1,
+                            .checkpoint = CheckpointOptions{}});
+        ASSERT_TRUE(runner.Resume().ok());
+        ASSERT_EQ(runner.Advance(), RunOutcome::kDone);
       }
       labels_before = (*store)->num_labeled();
       ASSERT_GT(labels_before, 0u);
@@ -376,13 +381,17 @@ TEST(ChaosTest, RandomSchedulesWithAutoCompactionKeepResumeExactness) {
       ASSERT_TRUE(store.ok())
           << "round " << round << " left a torn store: " << schedule;
       OracleAnnotator oracle;
-      StoredAnnotator annotator(&oracle, store->get(), seed, stored_options);
       SrsSampler sampler(kg, SrsConfig{});
-      EvaluationSession session(sampler, annotator, config, seed);
-      CheckpointManager manager(store->get(), seed, manager_options);
-      const auto result = RunDurableAudit(session, manager, &annotator);
-      ASSERT_TRUE(result.ok()) << "round " << round << ": " << schedule;
-      ExpectIdenticalResults(reference, *result, config, round);
+      AuditRunner runner(sampler, oracle, config, seed,
+                         {.store = store->get(),
+                          .audit_id = seed,
+                          .store_options = stored_options,
+                          .checkpoint = manager_options});
+      ASSERT_TRUE(runner.Resume().ok());
+      ASSERT_EQ(runner.Advance(), RunOutcome::kDone)
+          << "round " << round << ": " << schedule << ": "
+          << runner.status().ToString();
+      ExpectIdenticalResults(reference, runner.result(), config, round);
     }
     std::remove(path.c_str());
   }
@@ -407,18 +416,21 @@ TEST(ChaosTest, FailFastModeSurfacesExhaustedWriteErrors) {
   StoredAnnotator::Options options;
   options.write_error_mode = StoredAnnotator::WriteErrorMode::kFailFast;
   options.backoff = FastBackoff();
-  StoredAnnotator annotator(&oracle, store->get(), 1, options);
   SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, 9);
-  ASSERT_TRUE(session.Step().ok());
-  EXPECT_EQ(annotator.status().code(), StatusCode::kIoError);
-  EXPECT_FALSE(annotator.degraded());
-  EXPECT_GT(annotator.retries(), 0u);
-  // RunDurableAudit's per-step status check is what aborts the audit.
-  CheckpointManager manager(store->get(), 1, CheckpointOptions{});
-  const auto result = RunDurableAudit(session, manager, &annotator);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  AuditRunner runner(sampler, oracle, config, 9,
+                     {.store = store->get(),
+                      .audit_id = 1,
+                      .store_options = options,
+                      .checkpoint = CheckpointOptions{}});
+  // The runner's per-step status check is what aborts the audit — on the
+  // first step, before its checkpoint.
+  EXPECT_EQ(runner.Advance(), RunOutcome::kFailed);
+  EXPECT_EQ(runner.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(runner.stored()->status().code(), StatusCode::kIoError);
+  EXPECT_FALSE(runner.stored()->degraded());
+  EXPECT_GT(runner.stored()->retries(), 0u);
+  EXPECT_EQ(runner.session().iterations(), 1);
+  EXPECT_FALSE((*store)->LatestCheckpoint(1).has_value());
   std::remove(path.c_str());
 }
 

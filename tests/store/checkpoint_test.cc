@@ -14,6 +14,7 @@
 #include <string>
 
 #include "kgacc/eval/report.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
@@ -130,16 +131,16 @@ void CheckDesignResumesByteIdentical(const char* design,
     auto store = AnnotationStore::Open(path);
     ASSERT_TRUE(store.ok()) << design;
     OracleAnnotator oracle;
-    StoredAnnotator annotator(&oracle, store->get(), seed);
     auto sampler = make_sampler(kg);
-    EvaluationSession session(*sampler, annotator, config, seed);
-    CheckpointManager manager(store->get(), seed, CheckpointOptions{});
-    ASSERT_TRUE(manager.CanResume()) << design;
-    const auto result = RunDurableAudit(session, manager, &annotator);
-    ASSERT_TRUE(result.ok()) << design;
-    ASSERT_TRUE(annotator.status().ok()) << design;
-    EXPECT_EQ(session.iterations(), reference.iterations) << design;
-    ExpectIdenticalResults(reference, *result, config, design);
+    AuditRunner runner(*sampler, oracle, config, seed,
+                       {.store = store->get(),
+                        .audit_id = seed,
+                        .checkpoint = CheckpointOptions{}});
+    ASSERT_TRUE(*runner.Resume()) << design;
+    ASSERT_EQ(runner.Advance(), RunOutcome::kDone)
+        << design << ": " << runner.status().ToString();
+    EXPECT_EQ(runner.session().iterations(), reference.iterations) << design;
+    ExpectIdenticalResults(reference, runner.result(), config, design);
   }
   std::remove(path.c_str());
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "kgacc/eval/session.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/store/annotation_store.h"
@@ -55,15 +56,14 @@ SyntheticKg TestKg() {
 /// pure garbage accumulation.
 void RunAudit(AnnotationStore* store, const SyntheticKg& kg,
               uint64_t audit_id, uint64_t seed) {
-  EvaluationConfig config;
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store, audit_id);
   SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, seed);
-  CheckpointManager manager(store, audit_id, CheckpointOptions{});
-  const auto result = RunDurableAudit(session, manager, &annotator);
-  ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(annotator.status().ok());
+  AuditRunner runner(sampler, oracle, EvaluationConfig{}, seed,
+                     {.store = store,
+                      .audit_id = audit_id,
+                      .checkpoint = CheckpointOptions{}});
+  ASSERT_TRUE(runner.Resume().ok());
+  ASSERT_EQ(runner.Advance(), RunOutcome::kDone) << runner.status().ToString();
 }
 
 /// Every stored label, keyed by (cluster, offset) — the byte-identical
@@ -168,13 +168,14 @@ TEST(CompactionTest, PostCompactionResumeIsByteIdentical) {
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->stats().trailers_replayed, 1u);
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), seed);
   SrsSampler sampler(kg, SrsConfig{});
-  EvaluationSession session(sampler, annotator, config, seed);
-  CheckpointManager manager(store->get(), seed, CheckpointOptions{});
-  ASSERT_TRUE(manager.CanResume());
-  const auto result = RunDurableAudit(session, manager, &annotator);
-  ASSERT_TRUE(result.ok());
+  AuditRunner runner(sampler, oracle, config, seed,
+                     {.store = store->get(),
+                      .audit_id = seed,
+                      .checkpoint = CheckpointOptions{}});
+  ASSERT_TRUE(*runner.Resume());
+  ASSERT_EQ(runner.Advance(), RunOutcome::kDone) << runner.status().ToString();
+  const EvaluationResult* result = &runner.result();
   EXPECT_EQ(result->mu, reference.mu);
   EXPECT_EQ(result->interval.lower, reference.interval.lower);
   EXPECT_EQ(result->interval.upper, reference.interval.upper);
@@ -182,7 +183,7 @@ TEST(CompactionTest, PostCompactionResumeIsByteIdentical) {
   EXPECT_EQ(result->iterations, reference.iterations);
   EXPECT_EQ(result->stop_reason, reference.stop_reason);
   // The resumed half replayed labels from the store instead of the oracle.
-  EXPECT_GT(annotator.store_hits(), 0u);
+  EXPECT_GT(runner.counters().store_hits, 0u);
   std::remove(path.c_str());
 }
 

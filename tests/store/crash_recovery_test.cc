@@ -13,6 +13,7 @@
 #include <string>
 
 #include "kgacc/eval/report.h"
+#include "kgacc/eval/runner.h"
 #include "kgacc/kg/synthetic.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/store/checkpoint.h"
@@ -50,16 +51,18 @@ EvaluationConfig TestConfig() {
   auto store = AnnotationStore::Open(store_path);
   if (!store.ok()) _exit(10);
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), kSeed);
   TwcsSampler sampler(kg, TwcsConfig{});
-  EvaluationSession session(sampler, annotator, TestConfig(), kSeed);
-  CheckpointManager manager(store->get(), kSeed, CheckpointOptions{});
   int steps = 0;
-  while (!session.done()) {
-    if (!session.Step().ok()) _exit(11);
-    if (++steps >= crash_after) std::raise(SIGKILL);
-    if (!manager.OnStep(session).ok()) _exit(12);
-  }
+  AuditRunner runner(
+      sampler, oracle, TestConfig(), kSeed,
+      {.store = store->get(),
+       .audit_id = kSeed,
+       .checkpoint = CheckpointOptions{},
+       .on_step = [&](const EvaluationSession&) {
+         if (++steps >= crash_after) std::raise(SIGKILL);
+         return Status::OK();
+       }});
+  runner.Advance();
   _exit(13);  // Finished before the crash point: test misconfigured.
 }
 
@@ -102,14 +105,14 @@ TEST(CrashRecoveryTest, SigkilledAuditResumesToByteIdenticalReport) {
   EXPECT_FALSE((*store)->stats().recovery.truncated_tail)
       << "per-frame flushing should leave no torn tail on SIGKILL";
   OracleAnnotator oracle;
-  StoredAnnotator annotator(&oracle, store->get(), kSeed);
   TwcsSampler sampler(kg, TwcsConfig{});
-  EvaluationSession session(sampler, annotator, config, kSeed);
-  CheckpointManager manager(store->get(), kSeed, CheckpointOptions{});
-  ASSERT_TRUE(manager.CanResume());
-  const auto result = RunDurableAudit(session, manager, &annotator);
-  ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(annotator.status().ok());
+  AuditRunner runner(sampler, oracle, config, kSeed,
+                     {.store = store->get(),
+                      .audit_id = kSeed,
+                      .checkpoint = CheckpointOptions{}});
+  ASSERT_TRUE(*runner.Resume());
+  ASSERT_EQ(runner.Advance(), RunOutcome::kDone) << runner.status().ToString();
+  const EvaluationResult* result = &runner.result();
 
   EXPECT_EQ(result->mu, reference.mu);
   EXPECT_EQ(result->interval.lower, reference.interval.lower);

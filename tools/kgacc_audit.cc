@@ -108,16 +108,6 @@ ArgParser BuildParser() {
   return parser;
 }
 
-Result<IntervalMethod> ParseMethod(const std::string& name) {
-  if (name == "ahpd") return IntervalMethod::kAhpd;
-  if (name == "hpd") return IntervalMethod::kHpd;
-  if (name == "et") return IntervalMethod::kEqualTailed;
-  if (name == "wilson") return IntervalMethod::kWilson;
-  if (name == "wald") return IntervalMethod::kWald;
-  if (name == "cp") return IntervalMethod::kClopperPearson;
-  return Status::InvalidArgument("unknown method: " + name);
-}
-
 std::vector<std::string> SplitCsv(const std::string& spec) {
   std::vector<std::string> items;
   size_t start = 0;
@@ -150,7 +140,7 @@ Result<std::vector<BetaPrior>> ParseExtraPriors(const std::string& spec) {
 Result<std::vector<IntervalMethod>> ParseMethodList(const std::string& spec) {
   std::vector<IntervalMethod> methods;
   for (const std::string& item : SplitCsv(spec)) {
-    KGACC_ASSIGN_OR_RETURN(const IntervalMethod method, ParseMethod(item));
+    KGACC_ASSIGN_OR_RETURN(const IntervalMethod method, ParseIntervalMethod(item));
     methods.push_back(method);
   }
   if (methods.empty()) {
@@ -204,7 +194,7 @@ int RunMain(int argc, char** argv) {
   }
 
   EvaluationConfig config;
-  const auto method = ParseMethod(parsed->GetString("method", "ahpd"));
+  const auto method = ParseIntervalMethod(parsed->GetString("method", "ahpd"));
   if (!method.ok()) {
     std::fprintf(stderr, "%s\n", method.status().ToString().c_str());
     return 2;
@@ -280,25 +270,12 @@ int RunMain(int argc, char** argv) {
     return 0;
   }
 
-  std::unique_ptr<Sampler> sampler;
-  if (design == "srs") {
-    sampler = std::make_unique<SrsSampler>(
-        *kg, SrsConfig{.without_replacement = *fpc});
-  } else if (design == "twcs") {
-    sampler = std::make_unique<TwcsSampler>(
-        *kg, TwcsConfig{.second_stage_size = static_cast<int>(*m)});
-  } else if (design == "wcs") {
-    sampler = std::make_unique<WcsSampler>(*kg, ClusterConfig{});
-  } else if (design == "rcs") {
-    sampler = std::make_unique<RcsSampler>(*kg, ClusterConfig{});
-  } else if (design == "ssrs") {
-    sampler = std::make_unique<StratifiedSampler>(*kg, StratifiedConfig{});
-  } else if (design == "sys") {
-    sampler = std::make_unique<SystematicSampler>(*kg, SystematicConfig{});
-  } else {
+  auto made = MakeSamplerForDesign(*kg, design, static_cast<int>(*m), *fpc);
+  if (!made.ok()) {  // The design is the only argument it can reject.
     std::fprintf(stderr, "unknown design: %s\n", design.c_str());
     return 2;
   }
+  std::unique_ptr<Sampler> sampler = std::move(*made);
 
   std::unique_ptr<Annotator> annotator;
   const std::string annotator_name = parsed->GetString("annotator", "oracle");
@@ -390,22 +367,31 @@ int RunMain(int argc, char** argv) {
     return all_converged ? 0 : 3;
   }
 
+  // One runner drives the audit; with --store it becomes durable: labels
+  // flow through the write-ahead annotation store and the session
+  // checkpoints itself into the same log.
+  const auto audit_id = parsed->GetInt("audit-id", *seed);
+  const auto every = parsed->GetInt("checkpoint-every", 1);
+  const auto crash_after = parsed->GetInt("crash-after-steps", 0);
+  const auto resume = parsed->GetBool("resume", false);
+  const auto compact_threshold = parsed->GetDouble("compact-threshold", 0.0);
+  for (const Status& s : {audit_id.status(), every.status(),
+                          crash_after.status(), resume.status(),
+                          compact_threshold.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 2;
+    }
+  }
+  std::unique_ptr<AnnotationStore> store;
+  AuditRunner::Wiring wiring;
   if (parsed->Has("store")) {
-    // Durable audit: labels flow through the write-ahead annotation store
-    // and the session checkpoints itself into the same log.
-    const auto audit_id = parsed->GetInt("audit-id", *seed);
-    const auto every = parsed->GetInt("checkpoint-every", 1);
-    const auto crash_after = parsed->GetInt("crash-after-steps", 0);
-    const auto resume = parsed->GetBool("resume", false);
-    const auto compact_threshold =
-        parsed->GetDouble("compact-threshold", 0.0);
-    for (const Status& s : {audit_id.status(), every.status(),
-                            crash_after.status(), resume.status(),
-                            compact_threshold.status()}) {
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 2;
-      }
+    const std::string store_errors =
+        parsed->GetString("store-errors", "degrade");
+    if (store_errors != "degrade" && store_errors != "fail") {
+      std::fprintf(stderr, "--store-errors must be degrade or fail, got "
+                   "'%s'\n", store_errors.c_str());
+      return 2;
     }
     // The CLI opts into fsynced checkpoint frames: a tool whose whole job
     // is surviving kill -9 should not leave its resume points in the page
@@ -417,160 +403,119 @@ int RunMain(int argc, char** argv) {
       // CLI-scale stores are small; let auto-compaction actually trigger.
       store_open_options.auto_compact_min_bytes = 1 << 12;
     }
-    auto store =
+    auto opened =
         AnnotationStore::Open(parsed->GetString("store"), store_open_options);
-    if (!store.ok()) {
+    if (!opened.ok()) {
       std::fprintf(stderr, "cannot open annotation store: %s\n",
-                   store.status().ToString().c_str());
+                   opened.status().ToString().c_str());
       return 1;
     }
-    if ((*store)->stats().recovery.truncated_tail) {
+    store = std::move(*opened);
+    if (store->stats().recovery.truncated_tail) {
       std::fprintf(stderr,
                    "[store] discarded %llu torn/corrupt tail bytes; "
                    "recovered to the last consistent frame\n",
                    static_cast<unsigned long long>(
-                       (*store)->stats().recovery.bytes_discarded));
+                       store->stats().recovery.bytes_discarded));
     }
-    const std::string store_errors =
-        parsed->GetString("store-errors", "degrade");
-    if (store_errors != "degrade" && store_errors != "fail") {
-      std::fprintf(stderr, "--store-errors must be degrade or fail, got "
-                   "'%s'\n", store_errors.c_str());
-      return 2;
-    }
-    StoredAnnotator::Options stored_options;
-    stored_options.write_error_mode =
-        store_errors == "fail" ? StoredAnnotator::WriteErrorMode::kFailFast
-                               : StoredAnnotator::WriteErrorMode::kDegrade;
-    StoredAnnotator stored(annotator.get(), store->get(),
-                           static_cast<uint64_t>(*audit_id), stored_options);
-    EvaluationSession session(*sampler, stored, config,
-                              static_cast<uint64_t>(*seed));
-    CheckpointOptions manager_options;
-    manager_options.every_steps = static_cast<uint64_t>(*every);
-    manager_options.on_error = store_errors == "fail"
-                                   ? CheckpointOptions::OnError::kFail
-                                   : CheckpointOptions::OnError::kDegrade;
-    CheckpointManager manager(store->get(), static_cast<uint64_t>(*audit_id),
-                              manager_options);
-    if (*resume && manager.CanResume()) {
-      const Status restored = manager.Resume(&session);
-      if (!restored.ok()) {
-        std::fprintf(stderr, "cannot resume: %s\n",
-                     restored.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "[store] resumed at step %d (%llu labels on "
-                   "file)\n", session.iterations(),
-                   static_cast<unsigned long long>((*store)->num_labeled()));
-    }
-    uint64_t steps_this_run = 0;
-    while (!session.done()) {
-      const auto outcome = session.Step();
-      if (!outcome.ok()) {
-        std::fprintf(stderr, "evaluation failed: %s\n",
-                     outcome.status().ToString().c_str());
-        return 1;
-      }
-      ++steps_this_run;
+    const bool fail_fast = store_errors == "fail";
+    wiring.store = store.get();
+    wiring.audit_id = static_cast<uint64_t>(*audit_id);
+    wiring.store_options.write_error_mode =
+        fail_fast ? StoredAnnotator::WriteErrorMode::kFailFast
+                  : StoredAnnotator::WriteErrorMode::kDegrade;
+    wiring.checkpoint.emplace();
+    wiring.checkpoint->every_steps = static_cast<uint64_t>(*every);
+    wiring.checkpoint->on_error = fail_fast
+                                      ? CheckpointOptions::OnError::kFail
+                                      : CheckpointOptions::OnError::kDegrade;
+  }
+  uint64_t steps_this_run = 0;
+  if (*crash_after > 0) {
+    wiring.on_step = [&](const EvaluationSession&) {
       // Crash injection for recovery testing: die *between* the step and
       // its checkpoint — the hard case, where the tail step's labels are
       // already on file but its snapshot is not.
-      if (*crash_after > 0 &&
-          steps_this_run >= static_cast<uint64_t>(*crash_after)) {
+      if (++steps_this_run >= static_cast<uint64_t>(*crash_after)) {
         std::raise(SIGKILL);
       }
-      const Status checkpointed = manager.OnStep(session);
-      if (!checkpointed.ok()) {
-        std::fprintf(stderr, "checkpoint failed: %s\n",
-                     checkpointed.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!stored.status().ok()) {
-      std::fprintf(stderr, "annotation store append failed: %s\n",
-                   stored.status().ToString().c_str());
+      return Status::OK();
+    };
+  }
+  AuditRunner runner(*sampler, *annotator, config,
+                     static_cast<uint64_t>(*seed), std::move(wiring));
+  if (*resume) {
+    const Result<bool> resumed = runner.Resume();
+    if (!resumed.ok()) {
+      std::fprintf(stderr, "cannot resume: %s\n",
+                   resumed.status().ToString().c_str());
       return 1;
     }
-    const auto result = session.Finish();
-    if (!result.ok()) {
-      std::fprintf(stderr, "evaluation failed: %s\n",
-                   result.status().ToString().c_str());
-      return 1;
+    if (*resumed) {
+      std::fprintf(stderr, "[store] resumed at step %d (%llu labels on "
+                   "file)\n", runner.session().iterations(),
+                   static_cast<unsigned long long>(store->num_labeled()));
     }
-    if (stored.degraded()) {
-      std::fprintf(stderr,
-                   "[store] DEGRADED: persistence stopped after retries "
-                   "(%s); %llu labels served but not stored — a resumed run "
-                   "re-judges them\n",
-                   stored.degraded_cause().ToString().c_str(),
-                   static_cast<unsigned long long>(stored.labels_dropped()));
-    }
-    if (manager.degraded()) {
-      std::fprintf(stderr,
-                   "[store] DEGRADED: checkpointing stopped after retries "
-                   "(%s); recovery recomputes from the last good snapshot\n",
-                   manager.degraded_cause().ToString().c_str());
-    }
-    if (*json) {
-      std::printf("%s\n", RenderJsonReport(context, config, *result).c_str());
-    } else {
-      std::printf("%s", RenderTextReport(context, config, *result).c_str());
+  }
+  const RunOutcome outcome = runner.Advance();
+  if (outcome != RunOutcome::kDone && outcome != RunOutcome::kDegraded) {
+    std::fprintf(stderr, "evaluation failed: %s\n",
+                 runner.status().ToString().c_str());
+    return 1;
+  }
+  const EvaluationResult& result = runner.result();
+  const RunCounters counters = runner.counters();
+  if (counters.degraded) {
+    std::fprintf(stderr,
+                 "[store] DEGRADED: persistence stopped after retries (%s); "
+                 "%llu labels served but not stored — a resumed run "
+                 "re-judges them, and recovery recomputes from the last "
+                 "good snapshot\n",
+                 counters.degradation_note.c_str(),
+                 static_cast<unsigned long long>(
+                     runner.stored()->labels_dropped()));
+  }
+  if (*json) {
+    std::printf("%s\n", RenderJsonReport(context, config, result).c_str());
+  } else {
+    std::printf("%s", RenderTextReport(context, config, result).c_str());
+    if (store != nullptr) {
       std::printf("[store] %s: %llu labels on file, %llu served from store, "
                   "%llu new oracle judgments, %llu checkpoints this run, "
                   "%llu write retries%s\n",
-                  (*store)->path().c_str(),
-                  static_cast<unsigned long long>((*store)->num_labeled()),
-                  static_cast<unsigned long long>(stored.store_hits()),
-                  static_cast<unsigned long long>(stored.oracle_calls()),
-                  static_cast<unsigned long long>(
-                      manager.checkpoints_written()),
-                  static_cast<unsigned long long>(stored.retries() +
-                                                  manager.retries()),
-                  stored.degraded() || manager.degraded() ? ", DEGRADED"
-                                                          : "");
+                  store->path().c_str(),
+                  static_cast<unsigned long long>(store->num_labeled()),
+                  static_cast<unsigned long long>(counters.store_hits),
+                  static_cast<unsigned long long>(counters.oracle_calls),
+                  static_cast<unsigned long long>(counters.checkpoints),
+                  static_cast<unsigned long long>(counters.retries),
+                  counters.degraded ? ", DEGRADED" : "");
     }
-    if (parsed->Has("compact")) {
-      const unsigned long long before = (*store)->file_bytes();
-      const Status compacted = (*store)->Compact();
-      if (!compacted.ok()) {
-        std::fprintf(stderr, "compaction failed: %s\n",
-                     compacted.ToString().c_str());
-        return 1;
-      }
-      const CompactionStats cs = (*store)->compaction_stats();
-      std::fprintf(stderr,
-                   "[store] compacted: %llu -> %llu bytes (%llu live "
-                   "records, %llu checkpoints kept)\n",
-                   before,
-                   static_cast<unsigned long long>(cs.last_bytes_after),
-                   static_cast<unsigned long long>(cs.last_records),
-                   static_cast<unsigned long long>(cs.last_checkpoints));
-    } else if ((*store)->compaction_stats().auto_compactions > 0) {
-      const CompactionStats cs = (*store)->compaction_stats();
-      std::fprintf(stderr,
-                   "[store] auto-compacted %llu time(s); log now %llu "
-                   "bytes\n",
-                   static_cast<unsigned long long>(cs.auto_compactions),
-                   static_cast<unsigned long long>((*store)->file_bytes()));
+  }
+  if (store != nullptr && parsed->Has("compact")) {
+    const unsigned long long before = store->file_bytes();
+    const Status compacted = store->Compact();
+    if (!compacted.ok()) {
+      std::fprintf(stderr, "compaction failed: %s\n",
+                   compacted.ToString().c_str());
+      return 1;
     }
-    return result->converged ? 0 : 3;
+    const CompactionStats cs = store->compaction_stats();
+    std::fprintf(stderr,
+                 "[store] compacted: %llu -> %llu bytes (%llu live "
+                 "records, %llu checkpoints kept)\n",
+                 before, static_cast<unsigned long long>(cs.last_bytes_after),
+                 static_cast<unsigned long long>(cs.last_records),
+                 static_cast<unsigned long long>(cs.last_checkpoints));
+  } else if (store != nullptr &&
+             store->compaction_stats().auto_compactions > 0) {
+    const CompactionStats cs = store->compaction_stats();
+    std::fprintf(stderr,
+                 "[store] auto-compacted %llu time(s); log now %llu bytes\n",
+                 static_cast<unsigned long long>(cs.auto_compactions),
+                 static_cast<unsigned long long>(store->file_bytes()));
   }
-
-  const auto result = RunEvaluation(*sampler, *annotator, config,
-                                    static_cast<uint64_t>(*seed));
-  if (!result.ok()) {
-    std::fprintf(stderr, "evaluation failed: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-
-  if (*json) {
-    std::printf("%s\n", RenderJsonReport(context, config, *result).c_str());
-  } else {
-    std::printf("%s", RenderTextReport(context, config, *result).c_str());
-  }
-  return result->converged ? 0 : 3;
+  return result.converged ? 0 : 3;
 }
 
 }  // namespace
