@@ -1,6 +1,6 @@
-// Ablation A: the three HPD solvers — the dedicated 2x2 Newton KKT path
-// (the default), the paper's SLSQP formulation, and the independent 1-D
-// reduction (u(l) = F^{-1}(F(l) + 1 - alpha) + Brent). Verifies they agree
+// Ablation A: the three HPD solvers — the bracketed Newton root on the
+// equal-density branch (the default), the paper's SLSQP formulation, and
+// the independent 1-D reduction (u(l) = F^{-1}(F(l) + 1 - alpha) + Brent). Verifies they agree
 // to ~1e-5 and compares their throughput with google-benchmark across
 // posterior shapes arising in real runs.
 
@@ -26,24 +26,23 @@ const Shape kShapes[] = {
     {31.0, 1.5}, {28.0, 4.0}, {96.0, 11.0}, {155.0, 28.0}, {205.0, 177.0},
 };
 
-void BM_HpdNewtonKkt(benchmark::State& state) {
+void BM_HpdNewton(benchmark::State& state) {
   const Shape shape = kShapes[state.range(0)];
   const auto d = *BetaDistribution::Create(shape.a, shape.b);
   for (auto _ : state) {
-    auto hpd = HpdInterval(d, 0.05);  // Default path: 2x2 Newton KKT.
+    auto hpd = HpdInterval(d, 0.05);  // Default path: bracketed Newton.
     benchmark::DoNotOptimize(hpd);
   }
   state.SetLabel("Beta(" + std::to_string(shape.a) + "," +
                  std::to_string(shape.b) + ")");
 }
-BENCHMARK(BM_HpdNewtonKkt)->DenseRange(0, 4);
+BENCHMARK(BM_HpdNewton)->DenseRange(0, 4);
 
 void BM_HpdSlsqp(benchmark::State& state) {
   const Shape shape = kShapes[state.range(0)];
   const auto d = *BetaDistribution::Create(shape.a, shape.b);
   HpdOptions options;
-  options.solver = HpdSolver::kSlsqp;
-  options.use_newton = false;  // The pure SQP reference formulation.
+  options.solver = HpdSolver::kSlsqp;  // The SQP reference formulation.
   for (auto _ : state) {
     auto hpd = HpdInterval(d, 0.05, options);
     benchmark::DoNotOptimize(hpd);
@@ -82,7 +81,7 @@ BENCHMARK(BM_EqualTailed)->DenseRange(0, 4);
 int main(int argc, char** argv) {
   using namespace kgacc;
   // Correctness cross-check before timing: the two solvers must agree.
-  std::printf("Ablation A: Newton KKT vs SLSQP vs 1-D reduction agreement "
+  std::printf("Ablation A: Newton vs SLSQP vs 1-D reduction agreement "
               "check\n");
   double worst = 0.0;
   Rng rng(7);
@@ -92,7 +91,6 @@ int main(int argc, char** argv) {
     const auto d = *BetaDistribution::Create(a, b);
     HpdOptions sqp_opts;
     sqp_opts.solver = HpdSolver::kSlsqp;
-    sqp_opts.use_newton = false;
     HpdOptions oned_opts;
     oned_opts.solver = HpdSolver::kOneDim;
     const auto newton = *HpdInterval(d, 0.05);

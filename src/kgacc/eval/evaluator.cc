@@ -117,8 +117,7 @@ Result<Interval> BuildInterval(const EvaluationConfig& config,
       }
       KGACC_ASSIGN_OR_RETURN(
           const HpdResult hpd,
-          HpdIntervalWarm(posterior, tau_eff, n_eff, config.alpha, config.hpd,
-                          state));
+          HpdIntervalWarm(posterior, config.alpha, config.hpd, state));
       return hpd.interval;
     }
     case IntervalMethod::kAhpd: {

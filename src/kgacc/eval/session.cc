@@ -17,7 +17,10 @@ namespace {
 /// v2: adds `unit_reservoir_capacity` to the config fingerprint and the
 ///     reservoir subsample to the AnnotatedSample payload — fields shifted,
 ///     so a v1 payload must fail the version gate rather than misparse.
-constexpr uint8_t kSessionSnapshotVersion = 2;
+/// v3: the HPD warm carry keeps only each prior's seed interval — the
+///     (tau, n, alpha) cache keys, the solver diagnostics, and the carried
+///     BFGS Hessian are gone, so a v2 payload must fail the gate too.
+constexpr uint8_t kSessionSnapshotVersion = 3;
 
 }  // namespace
 
@@ -116,9 +119,7 @@ Result<StepOutcome> EvaluationSession::Step() {
   // Phase 3: estimate from the accumulator — O(batch) per step where the
   // batch estimators re-walk the whole sample — and build the configured
   // 1-alpha interval. The warm state carries each prior's previous HPD
-  // solution into the next solve (seeding the 2x2 Newton KKT path, and the
-  // last SQP Hessian for its fallback), and serves unchanged (tau, n,
-  // alpha) steps straight from the cache.
+  // interval into the next solve as its seed.
   Result<AccuracyEstimate> estimate_result =
       (sampler_.estimator() == EstimatorKind::kSrs &&
        config_.finite_population_correction)

@@ -1,7 +1,6 @@
 #ifndef KGACC_INTERVALS_AHPD_H_
 #define KGACC_INTERVALS_AHPD_H_
 
-#include <array>
 #include <vector>
 
 #include "kgacc/intervals/credible.h"
@@ -33,26 +32,17 @@ struct AhpdChoice {
 };
 
 /// Cross-step warm-start carry for iterative interval construction: the
-/// previous step's per-prior HPD solutions and the inputs they solved.
-/// Thread one instance through the successive `AhpdSelect` (or
-/// `BuildInterval`) calls of one evaluation run; each step then warm-starts
-/// the SQP from the last interval instead of paying two ET quantile solves
-/// per prior, and skips the solve entirely when `(tau, n, alpha)` did not
-/// move. Do not share one state across interleaved runs.
+/// previous step's per-prior HPD intervals. Thread one instance through the
+/// successive `AhpdSelect` (or `BuildInterval`) calls of one evaluation
+/// run; each step then seeds the solver from the last interval instead of
+/// paying two ET quantile solves per prior. Do not share one state across
+/// interleaved runs.
 struct AhpdWarmState {
   struct PriorState {
-    /// True once `hpd` holds a solution for (tau, n, alpha).
+    /// True once `interval` holds a standard-case (unimodal) solution —
+    /// the only kind that seeds the next solve.
     bool valid = false;
-    double tau = 0.0;
-    double n = 0.0;
-    double alpha = 0.0;
-    HpdResult hpd;
-    /// Last BFGS Lagrangian-Hessian model produced by an SQP solve for
-    /// this prior. Seeds the *fallback* SQP of later steps (via
-    /// `HpdOptions::warm_hessian`) so it does not restart from identity;
-    /// kept across Newton-path steps, which build no BFGS model.
-    bool has_hessian = false;
-    std::array<double, 4> hessian{};
+    Interval interval;
   };
   /// Parallel to the prior set; resized (and invalidated) on size change.
   std::vector<PriorState> priors;
@@ -66,21 +56,17 @@ struct AhpdWarmState {
   }
 };
 
-/// Serializes / restores the warm carry for checkpoint/resume: every
-/// per-prior solution — inputs, interval, shape, path, the Newton residual
-/// certificate, and the carried BFGS Hessian — with bit-exact doubles, so a
-/// resumed audit's next `BuildInterval` sees the identical cache (including
-/// the unchanged-(tau, n, alpha) skip) as the uninterrupted run.
+/// Serializes / restores the warm carry for checkpoint/resume, with
+/// bit-exact doubles, so a resumed audit's next `BuildInterval` seeds its
+/// solves exactly as the uninterrupted run does.
 void SaveAhpdWarmState(const AhpdWarmState& state, ByteWriter* w);
 Status LoadAhpdWarmState(ByteReader* r, AhpdWarmState* state);
 
-/// One prior's HPD with warm-start carry: returns the cached solution when
-/// `state` matches `(tau, n, alpha)` exactly, otherwise solves — seeding
-/// the SQP from the carried interval when one is available — and refreshes
-/// `state`. A null `state` degrades to a plain `HpdInterval` call.
+/// One prior's HPD with warm-start carry: solves — seeded from the carried
+/// interval when one is available — and refreshes `state`. A null `state`
+/// degrades to a plain `HpdInterval` call.
 Result<HpdResult> HpdIntervalWarm(const BetaDistribution& posterior,
-                                  double tau, double n, double alpha,
-                                  const HpdOptions& options,
+                                  double alpha, const HpdOptions& options,
                                   AhpdWarmState::PriorState* state);
 
 /// Computes the per-prior posteriors Beta(a_i + tau, b_i + n - tau), their

@@ -2,19 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "kgacc/opt/bracketed_newton.h"
 #include "kgacc/opt/brent.h"
-#include "kgacc/opt/newton_kkt.h"
 #include "kgacc/opt/slsqp.h"
 
 namespace kgacc {
 
 namespace {
 
-/// Safeguarding box for the Newton KKT iterate. Interior unimodal optima
-/// live strictly inside (0, 1); an iterate pinned here has left the basin
-/// and is handed to the globalized SQP.
-constexpr double kNewtonBoxEps = 1e-12;
+/// Coverage residual |F(u) - F(l) - (1 - alpha)| at which the HPD root
+/// solve stops: far below statistical meaning, yet within the accuracy of
+/// the incomplete-beta kernel for all but extremely peaked posteriors
+/// (those stop on a collapsed bracket instead).
+constexpr double kCoverageTolerance = 1e-12;
 
 thread_local HpdSolveStats t_hpd_stats;
 
@@ -26,8 +28,6 @@ HpdPathTally& TallyFor(HpdPath path) {
       return t_hpd_stats.newton;
     case HpdPath::kSlsqp:
       return t_hpd_stats.slsqp;
-    case HpdPath::kSlsqpFallback:
-      return t_hpd_stats.slsqp_fallback;
     case HpdPath::kOneDim:
       return t_hpd_stats.onedim;
   }
@@ -50,66 +50,133 @@ Status ValidateAlpha(double alpha) {
   return Status::OK();
 }
 
-/// The standard-case first-order system (Thm. 1): coverage on probability
-/// scale, density equality on log scale — both O(1) on the basin, so the
-/// Newton merit treats them evenly. The log form also keeps the second
-/// equation well-conditioned for extreme-peaked posteriors, where raw
-/// densities overflow the merit long before the endpoints degrade.
-/// One evaluation costs 2 CDF + 2 PDF calls (the Jacobian's density row is
-/// shared with the coverage gradient; the log-density slopes are rational).
-bool TryHpdNewton(const BetaDistribution& posterior, double alpha,
-                  const Interval& start, int max_iterations, HpdResult* out) {
-  const double a = posterior.a();
-  const double b = posterior.b();
-  // Plain lambda, not a KktSystem2Fn: the solver is templated over the
-  // callable, so the system inlines and the solve allocates nothing — the
-  // per-solve type-erasure allocation was the last heap traffic on the
-  // warm kHpd step path.
-  const auto system = [&posterior, a, b, alpha, out](
-                          double l, double u, double* r, double* jac) {
-    out->cdf_evals += 2;
-    out->pdf_evals += 2;
-    r[0] = posterior.Cdf(u) - posterior.Cdf(l) - (1.0 - alpha);
-    r[1] = (a - 1.0) * (std::log(l) - std::log(u)) +
-           (b - 1.0) * (std::log1p(-l) - std::log1p(-u));
-    jac[0] = -posterior.Pdf(l);
-    jac[1] = posterior.Pdf(u);
-    jac[2] = (a - 1.0) / l - (b - 1.0) / (1.0 - l);
-    jac[3] = -((a - 1.0) / u - (b - 1.0) / (1.0 - u));
+/// Standard-case HPD as one bracketed root (Thms. 1-2). The lower endpoint
+/// is l = e^t, and u(l) is the point right of the mode with the same
+/// density as l. The coverage g(t) = F(u(l)) - F(l) - (1 - alpha) falls
+/// strictly from alpha (l -> 0) to -(1 - alpha) (l at the mode), so the
+/// root is unique and the bracketed Newton always reaches it. One outer
+/// step costs 2 CDF + 1 PDF evaluations; the inner equal-density solve
+/// works on the log-density kernel and costs none.
+Status HpdViaNewton(const BetaDistribution& posterior, double alpha,
+                    const Interval& start, HpdResult* out) {
+  const double am1 = posterior.a() - 1.0;
+  const double bm1 = posterior.b() - 1.0;
+  const double mode = posterior.Mode();
+  // Log-density kernel measured from the peak, K(x) - K(mode) <= 0. The
+  // raw kernel of a concentrated posterior is a large number whose leading
+  // digits cancel in K(u) - K(l); this form keeps them. Each term is
+  // ln(p / q) with d = p - q, taken through log1p near the mode.
+  const auto log_ratio = [](double p, double q, double d) {
+    return std::fabs(d) < 0.5 * q ? std::log1p(d / q) : std::log(p / q);
+  };
+  const auto kernel = [am1, bm1, mode, log_ratio](double x) {
+    return am1 * log_ratio(x, mode, x - mode) +
+           bm1 * log_ratio(1.0 - x, 1.0 - mode, mode - x);
+  };
+  const auto slope = [am1, bm1](double x) {
+    return am1 / x - bm1 / (1.0 - x);
   };
 
-  NewtonKkt2Options options;
-  options.max_iterations = max_iterations;
-  options.lo = kNewtonBoxEps;
-  options.hi = 1.0 - kNewtonBoxEps;
-  // Residual certificate thresholds: 1e-12 coverage mass and 1e-9 relative
-  // density mismatch bound the endpoint error well below the 1e-9 the
-  // equivalence tests demand against the SQP reference.
-  options.r0_tol = 1e-12;
-  options.r1_tol = 1e-9;
-
-  const Result<NewtonKkt2Solve> solve =
-      SolveNewtonKkt2(system, start.lower, start.upper, options);
-  if (!solve.ok() || !solve->converged) {
-    if (solve.ok()) out->solver_iterations += solve->iterations;
-    return false;
-  }
-  out->interval = Interval{solve->x0, solve->x1};
-  out->solver_iterations += solve->iterations;
   out->path = HpdPath::kNewton;
-  out->kkt_coverage_residual = solve->r0;
-  out->kkt_density_residual = solve->r1;
-  return true;
+  if (1.0 - mode <= kBracketCollapseWidth) {
+    // The mode sits within rounding of 1 (b barely above 1): to working
+    // precision the interval is the monotone limit [F^-1(alpha), 1] of
+    // Eq. 10.
+    ++out->quantile_evals;
+    KGACC_ASSIGN_OR_RETURN(const double l, posterior.Quantile(alpha));
+    out->interval = Interval{l, 1.0};
+    return Status::OK();
+  }
+
+  // One outer point: l = e^t, its partner u, the coverage residual g and
+  // dg/dt, the branch tangent du/dt (which seeds the next partner solve),
+  // and the density certificate K(l) - K(u).
+  struct Point {
+    double l = 0.0;
+    double u = 0.0;
+    double g = 0.0;
+    double dg = 0.0;
+    double du_dt = 0.0;
+    double density_residual = 0.0;
+  };
+  const auto evaluate = [&](double t, double u_seed) {
+    Point p;
+    p.l = std::exp(t);
+    const double k_l = kernel(p.l);
+    // The tolerance is relative: the kernel of a nearly flat posterior is
+    // tiny everywhere.
+    const BracketedNewtonSolve partner = SolveBracketedNewton(
+        [&](double x, double* h, double* dh) {
+          *h = kernel(x) - k_l;
+          *dh = slope(x);
+        },
+        mode, 1.0, u_seed, 1e-12 * std::fabs(k_l));
+    p.u = partner.x;
+    p.density_residual = -partner.fx;
+    // du/dl on the branch. A partner pinned against 1 (its root lies
+    // within rounding of 1, right of u) does not move with l.
+    const bool pinned =
+        partner.fx > 0.0 && 1.0 - p.u <= kBracketCollapseWidth;
+    const double ratio = pinned ? 0.0 : slope(p.l) / slope(p.u);
+    p.du_dt = p.l * ratio;
+    out->cdf_evals += 2;
+    ++out->pdf_evals;
+    p.g = partner.converged
+              ? posterior.Cdf(p.u) - posterior.Cdf(p.l) - (1.0 - alpha)
+              : std::numeric_limits<double>::quiet_NaN();
+    p.dg = std::exp(t + posterior.LogPdf(p.l)) * (ratio - 1.0);
+    return p;
+  };
+
+  const double t_floor = std::log(std::numeric_limits<double>::min());
+  double t_last =
+      std::log(start.lower > 0.0 && start.lower < mode ? start.lower
+                                                       : 0.5 * mode);
+  Point last;
+  last.u = start.upper;
+  bool saw_positive = false;
+  bool below_floor = false;
+  const auto coverage = [&](double t, double* g, double* dg) {
+    last = evaluate(t, last.u + last.du_dt * (t - t_last));
+    t_last = t;
+    *g = last.g;
+    *dg = last.dg;
+    saw_positive = saw_positive || last.g > 0.0;
+    // A Newton step out through the floor before any coverage surplus was
+    // seen: if the coverage at the floor is still short, the root lies
+    // below the smallest normal double (a barely above 1). End the solve
+    // there; the closed form below replaces it.
+    if (!saw_positive && t - last.g / last.dg <= t_floor) {
+      below_floor = !(evaluate(t_floor, last.u).g > 0.0);
+      saw_positive = true;
+      if (below_floor) *g = 0.0;
+    }
+  };
+  const BracketedNewtonSolve solve = SolveBracketedNewton(
+      coverage, t_floor, std::log(mode), t_last, kCoverageTolerance);
+  if (!solve.converged) {
+    return Status::NumericError("HPD root solve did not converge");
+  }
+  out->solver_iterations += solve.iterations;
+  out->kkt_density_residual = last.density_residual;
+  if (below_floor) {
+    // To working precision the interval is the monotone limit [0,
+    // F^-1(1 - alpha)] of Eq. 11.
+    ++out->quantile_evals;
+    KGACC_ASSIGN_OR_RETURN(const double u, posterior.Quantile(1.0 - alpha));
+    out->interval = Interval{0.0, u};
+    out->kkt_coverage_residual = 0.0;
+    return Status::OK();
+  }
+  out->interval = Interval{last.l, last.u};
+  out->kkt_coverage_residual = solve.fx;
+  return Status::OK();
 }
 
 /// Standard-case HPD via the SQP solver: minimize (u - l) subject to
-/// F(u) - F(l) = 1 - alpha with (l, u) in [0, 1]^2 (§4.3). `warm_hessian`,
-/// when given, seeds the BFGS Lagrangian model (the carried curvature of
-/// the previous solve) instead of identity.
+/// F(u) - F(l) = 1 - alpha with (l, u) in [0, 1]^2 (§4.3).
 Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
-                   const Interval& warm_start,
-                   const std::array<double, 4>* warm_hessian,
-                   HpdResult* out) {
+                   const Interval& warm_start, HpdResult* out) {
   SlsqpProblem problem;
   problem.objective = [](const std::vector<double>& x) { return x[1] - x[0]; };
   problem.gradient = [](const std::vector<double>&) {
@@ -142,11 +209,6 @@ Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
   // step_tol); demand a stationary projected Lagrangian gradient, whose
   // natural scale here is O(1) (the objective gradient is (-1, 1)).
   options.stationarity_tol = 1e-6;
-  std::vector<double> initial_hessian;
-  if (warm_hessian != nullptr) {
-    initial_hessian.assign(warm_hessian->begin(), warm_hessian->end());
-    options.initial_hessian = &initial_hessian;
-  }
 
   KGACC_ASSIGN_OR_RETURN(
       SlsqpSolve solve,
@@ -158,11 +220,7 @@ Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
   }
   out->interval = Interval{solve.x[0], solve.x[1]};
   out->solver_iterations += solve.iterations;
-  if (solve.hessian.size() == 4) {
-    out->has_hessian = true;
-    std::copy(solve.hessian.begin(), solve.hessian.end(),
-              out->hessian.begin());
-  }
+  out->path = HpdPath::kSlsqp;
   return Status::OK();
 }
 
@@ -277,28 +335,15 @@ Result<HpdResult> HpdIntervalImpl(const BetaDistribution& posterior,
     start = Interval{std::max(0.0, mode - 0.25), std::min(1.0, mode + 0.25)};
   }
 
-  // Primary unimodal path: the dedicated 2x2 Newton. A basin exit (pinned
-  // endpoint, residual growth, singular or non-finite system) falls through
-  // to the globalized SQP, seeded identically — plus the carried Hessian.
-  bool newton_attempted = false;
-  if (options.use_newton && options.newton_max_iterations > 0) {
-    newton_attempted = true;
-    if (TryHpdNewton(posterior, alpha, start, options.newton_max_iterations,
-                     &out)) {
-      return out;
-    }
-  }
-
-  const Status sqp =
-      HpdViaSlsqp(posterior, alpha, start, options.warm_hessian, &out);
-  if (sqp.ok()) {
-    out.path = newton_attempted ? HpdPath::kSlsqpFallback : HpdPath::kSlsqp;
+  if (options.solver == HpdSolver::kNewton) {
+    KGACC_RETURN_IF_ERROR(HpdViaNewton(posterior, alpha, start, &out));
     return out;
   }
-  // Extremely peaked or otherwise ill-conditioned posteriors can defeat the
-  // SQP line search; the 1-D reduction is slower but unconditionally robust
-  // for unimodal shapes.
-  KGACC_RETURN_IF_ERROR(HpdViaOneDim(posterior, alpha, &out));
+  // Near-edge or extremely peaked posteriors can defeat the SQP line
+  // search; the reference then falls back to the 1-D reduction.
+  if (!HpdViaSlsqp(posterior, alpha, start, &out).ok()) {
+    KGACC_RETURN_IF_ERROR(HpdViaOneDim(posterior, alpha, &out));
+  }
   return out;
 }
 
@@ -312,8 +357,6 @@ const char* HpdPathName(HpdPath path) {
       return "newton";
     case HpdPath::kSlsqp:
       return "slsqp";
-    case HpdPath::kSlsqpFallback:
-      return "slsqp-fallback";
     case HpdPath::kOneDim:
       return "onedim";
   }
@@ -323,8 +366,6 @@ const char* HpdPathName(HpdPath path) {
 HpdSolveStats ThreadHpdStatsSnapshot() { return t_hpd_stats; }
 
 void ResetThreadHpdStats() { t_hpd_stats = HpdSolveStats{}; }
-
-void NoteHpdWarmCacheHit() { ++t_hpd_stats.warm_cache_hits; }
 
 Result<Interval> EqualTailedInterval(const BetaDistribution& posterior,
                                      double alpha) {

@@ -45,6 +45,7 @@
 #include "kgacc/math/normal.h"
 #include "kgacc/math/special.h"
 #include "kgacc/math/student_t.h"
+#include "kgacc/opt/bracketed_newton.h"
 #include "kgacc/opt/brent.h"
 #include "kgacc/opt/slsqp.h"
 #include "kgacc/sampling/cluster.h"

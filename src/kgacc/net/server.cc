@@ -1130,23 +1130,31 @@ void AuditDaemon::PollLoop() {
   // store settles once — flush, fsync, and a final compaction so a restart
   // replays a minimal log (the checkpoints just written superseded their
   // predecessors; compacting here also heals a sticky WAL, since the index
-  // holds only acknowledged records). A compaction failure is harmless:
-  // whichever log it left installed is complete and durable.
+  // holds only acknowledged records). A failed flush or fsync may leave
+  // the newest frames short of durable, so it is counted (`settle_failed=`)
+  // and logged. A compaction failure is harmless — whichever log it left
+  // installed is complete and durable — and is only logged.
   for (auto& [id, session] : sessions_) {
     if (!session->finished && !session->failed) CheckpointSession(*session);
   }
-  for (auto& [name, store] : stores_) {
-    (void)store->Flush();
-    (void)store->Sync();
-    (void)store->Compact();
-  }
-  if (ledger_ != nullptr) {
-    // Same settle for the tenant ledger: fsync the balances and fold each
-    // tenant's history to its single live frame.
-    (void)ledger_->Flush();
-    (void)ledger_->Sync();
-    (void)ledger_->Compact();
-  }
+  const auto settle = [this](const std::string& what, auto& log) {
+    const auto report = [&](const char* op, const Status& status,
+                            bool counted) {
+      if (status.ok()) return;
+      if (counted) {
+        stats_.settle_failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      std::fprintf(stderr, "[kgaccd] drain: %s %s failed: %s\n",
+                   what.c_str(), op, status.ToString().c_str());
+    };
+    report("flush", log.Flush(), true);
+    report("sync", log.Sync(), true);
+    report("compact", log.Compact(), false);
+  };
+  for (auto& [name, store] : stores_) settle("store " + name, *store);
+  // Same settle for the tenant ledger: fsync the balances and fold each
+  // tenant's history to its single live frame.
+  if (ledger_ != nullptr) settle("tenant ledger", *ledger_);
   for (auto& [fd, conn] : conns_) {
     (void)FlushOutbox(*conn);
   }
@@ -1169,6 +1177,7 @@ std::string AuditDaemon::StatsLine() const {
          " degraded=" + v(stats_.sessions_degraded) +
          " steps=" + v(stats_.steps_executed) +
          " ckpt_failed=" + v(stats_.checkpoint_failures) +
+         " settle_failed=" + v(stats_.settle_failures) +
          " quota_rejected=" + v(stats_.quota_rejections) +
          " quota_exhausted=" + v(stats_.quota_exhaustions) +
          " quota_degraded=" + v(stats_.quota_degraded) +

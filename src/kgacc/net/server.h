@@ -130,6 +130,9 @@ class AuditDaemon {
     /// Session snapshots that failed or gave up (the checkpoint manager
     /// degraded). Labels are unaffected; resume granularity is.
     std::atomic<uint64_t> checkpoint_failures{0};
+    /// Drain-time store or ledger Flush/Sync calls that failed: the last
+    /// frames written may not be durable (logged with the store's name).
+    std::atomic<uint64_t> settle_failures{0};
     /// Admissions refused with a QuotaExceeded frame (tenant budget or cap
     /// already spent — distinct from transient `busy_rejections`).
     std::atomic<uint64_t> quota_rejections{0};

@@ -6,26 +6,19 @@
 #include "kgacc/util/status.h"
 
 /// \file brent.h
-/// Derivative-free 1-D root finding and minimization (Brent's methods).
-/// Used by the reference HPD solver (`HpdOneDim`), which reduces the
-/// two-variable HPD problem to a 1-D width minimization, and as a fallback
-/// inside the interval library.
+/// Derivative-free 1-D minimization (Brent's method). Used by the
+/// reference HPD solver (`HpdSolver::kOneDim`), which reduces the
+/// two-variable HPD problem to a 1-D width minimization. Bracketed roots
+/// go through `opt/bracketed_newton.h`.
 
 namespace kgacc {
 
 /// Result of a 1-D solve.
 struct ScalarSolve {
-  double x = 0.0;       ///< Located root / minimizer.
+  double x = 0.0;       ///< Located minimizer.
   double fx = 0.0;      ///< Function value at `x`.
   int iterations = 0;   ///< Iterations consumed.
 };
-
-/// Finds a root of `f` in [a, b] with Brent's method (inverse quadratic
-/// interpolation + secant + bisection). Requires f(a) and f(b) to have
-/// opposite signs (or one of them to be an exact root).
-Result<ScalarSolve> FindRootBrent(const std::function<double(double)>& f,
-                                  double a, double b, double tol = 1e-12,
-                                  int max_iter = 200);
 
 /// Minimizes `f` over [a, b] with Brent's parabolic-interpolation /
 /// golden-section method. `f` should be unimodal on [a, b] for a global

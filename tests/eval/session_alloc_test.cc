@@ -90,10 +90,9 @@ TEST(SessionAllocationTest, TwcsSteadyStateStepsAllocateNothing) {
 
 TEST(SessionAllocationTest, HpdSteadyStateStepsAllocateNothing) {
   // The zero-allocation contract now reaches past kWald into the interval
-  // layer: a warm kHpd step runs the 2x2 Newton KKT solver through its
+  // layer: a warm kHpd step runs the bracketed Newton root through its
   // templated (non-type-erased) entry point, so the whole
-  // draw-annotate-estimate-interval cycle is silent. This is what the
-  // SolveNewtonKkt2 callable templating bought.
+  // draw-annotate-estimate-interval cycle is silent.
   const auto kg = SmallKg();
   OracleAnnotator annotator;
   SrsSampler sampler(kg, SrsConfig{.batch_size = 50});

@@ -238,8 +238,8 @@ TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {
 
 TEST(EvaluationSessionTest, WarmStatePlumbsAcrossSteps) {
   // The session's AhpdWarmState must track every prior after a step, and —
-  // when the fallback SQP runs — hold the carried BFGS curvature so later
-  // fallbacks do not restart from identity.
+  // on the SQP reference path as on the default one — hold each prior's
+  // latest interval, the winner's being the session's current interval.
   const auto kg = MakeKg(0.9);
   OracleAnnotator annotator;
   SrsSampler sampler(kg, SrsConfig{.batch_size = 40});
@@ -247,7 +247,7 @@ TEST(EvaluationSessionTest, WarmStatePlumbsAcrossSteps) {
   config.method = IntervalMethod::kAhpd;
   config.moe_threshold = 1e-9;  // Never converges inside the test window.
   config.max_triples = 400;
-  config.hpd.use_newton = false;  // Force SQP so a Hessian is produced.
+  config.hpd.solver = HpdSolver::kSlsqp;
   EvaluationSession session(sampler, annotator, config, 321);
   for (int i = 0; i < 4 && !session.done(); ++i) {
     ASSERT_TRUE(session.Step().ok());
@@ -256,12 +256,13 @@ TEST(EvaluationSessionTest, WarmStatePlumbsAcrossSteps) {
   ASSERT_EQ(warm.priors.size(), config.priors.size());
   for (const auto& state : warm.priors) {
     EXPECT_TRUE(state.valid);
-    if (state.hpd.shape == BetaShape::kUnimodal) {
-      EXPECT_TRUE(state.has_hessian);
-      EXPECT_TRUE(state.hpd.path == HpdPath::kSlsqp ||
-                  state.hpd.path == HpdPath::kSlsqpFallback);
-    }
+    EXPECT_GT(state.interval.Width(), 0.0);
   }
+  const auto partial = session.Finish();
+  ASSERT_TRUE(partial.ok());
+  const auto& winner = warm.priors[partial->winning_prior];
+  EXPECT_EQ(winner.interval.lower, partial->interval.lower);
+  EXPECT_EQ(winner.interval.upper, partial->interval.upper);
 }
 
 TEST(EvaluationSessionTest, NewtonAndSqpPathsAgreeOnTheSameAudit) {
@@ -273,7 +274,7 @@ TEST(EvaluationSessionTest, NewtonAndSqpPathsAgreeOnTheSameAudit) {
   EvaluationConfig newton_cfg;
   newton_cfg.method = IntervalMethod::kAhpd;
   EvaluationConfig sqp_cfg = newton_cfg;
-  sqp_cfg.hpd.use_newton = false;
+  sqp_cfg.hpd.solver = HpdSolver::kSlsqp;
 
   SrsSampler s1(kg, SrsConfig{.batch_size = 50});
   SrsSampler s2(kg, SrsConfig{.batch_size = 50});

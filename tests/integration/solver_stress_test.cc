@@ -49,6 +49,15 @@ TEST(HpdSolverStress, RandomPosteriorCloud) {
         << "a=" << a << " b=" << b << " alpha=" << alpha;
     EXPECT_NEAR(sqp->interval.upper, oned->interval.upper, tol)
         << "a=" << a << " b=" << b << " alpha=" << alpha;
+
+    // The default bracketed Newton root lands on the same interval.
+    const auto newton = HpdInterval(d, alpha);
+    ASSERT_TRUE(newton.ok()) << "a=" << a << " b=" << b;
+    EXPECT_EQ(newton->path, HpdPath::kNewton);
+    EXPECT_NEAR(newton->interval.lower, sqp->interval.lower, tol)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
+    EXPECT_NEAR(newton->interval.upper, sqp->interval.upper, tol)
+        << "a=" << a << " b=" << b << " alpha=" << alpha;
     ++slsqp_checked;
   }
   EXPECT_EQ(slsqp_checked, 400);

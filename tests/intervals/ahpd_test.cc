@@ -120,19 +120,6 @@ TEST(AhpdWarmTest, WarmStartedSelectionTracksColdSelection) {
   }
 }
 
-TEST(AhpdWarmTest, UnchangedInputsAreServedFromTheCarry) {
-  const auto priors = DefaultUninformativePriors();
-  AhpdWarmState warm;
-  const auto first = *AhpdSelect(priors, 26, 30, 0.05, {}, &warm);
-  ASSERT_EQ(warm.priors.size(), priors.size());
-  for (const auto& state : warm.priors) EXPECT_TRUE(state.valid);
-  // Same (tau, n, alpha): the carried solutions are returned bit for bit.
-  const auto second = *AhpdSelect(priors, 26, 30, 0.05, {}, &warm);
-  EXPECT_EQ(second.interval.lower, first.interval.lower);
-  EXPECT_EQ(second.interval.upper, first.interval.upper);
-  EXPECT_EQ(second.prior_index, first.prior_index);
-}
-
 TEST(AhpdWarmTest, CarryCrossesLimitingCaseBoundaries) {
   // tau = n (kIncreasing) then an interior outcome: the carried interval
   // touches 1.0 and must still seed a successful unimodal solve.
@@ -158,50 +145,6 @@ TEST(AhpdWarmTest, PriorSetSizeChangeInvalidatesTheCarry) {
   for (const auto& state : warm.priors) EXPECT_TRUE(state.valid);
 }
 
-TEST(AhpdWarmTest, CarriedHessianMatchesIdentityRestart) {
-  // Force the SQP path (Newton disabled) through an iterative audit: the
-  // warm state then carries each solve's BFGS Lagrangian model into the
-  // next step's solver. Carried-Hessian solves must land on the same
-  // intervals as identity-restart (cold) solves.
-  const auto priors = DefaultUninformativePriors();
-  HpdOptions sqp_only;
-  sqp_only.use_newton = false;
-  AhpdWarmState warm;
-  for (int step = 1; step <= 10; ++step) {
-    const double n = 12.0 * step;
-    const double tau = 0.82 * n;
-    const auto cold = *AhpdSelect(priors, tau, n, 0.05, sqp_only);
-    const auto warmed = *AhpdSelect(priors, tau, n, 0.05, sqp_only, &warm);
-    EXPECT_NEAR(warmed.interval.lower, cold.interval.lower, 1e-9) << step;
-    EXPECT_NEAR(warmed.interval.upper, cold.interval.upper, 1e-9) << step;
-    EXPECT_EQ(warmed.prior_index, cold.prior_index) << step;
-  }
-  // The carry actually holds curvature after SQP solves.
-  for (const auto& state : warm.priors) {
-    EXPECT_TRUE(state.valid);
-    EXPECT_TRUE(state.has_hessian);
-  }
-}
-
-TEST(AhpdWarmTest, HessianCarrySurvivesNewtonSteps) {
-  // Default path: Newton solves build no BFGS model, but a previously
-  // carried SQP Hessian must survive them so a later fallback does not
-  // restart from identity.
-  const auto priors = DefaultUninformativePriors();
-  AhpdWarmState warm;
-  HpdOptions sqp_only;
-  sqp_only.use_newton = false;
-  ASSERT_TRUE(AhpdSelect(priors, 20, 30, 0.05, sqp_only, &warm).ok());
-  for (const auto& state : warm.priors) ASSERT_TRUE(state.has_hessian);
-  // Two default (Newton-path) steps.
-  ASSERT_TRUE(AhpdSelect(priors, 28, 40, 0.05, {}, &warm).ok());
-  ASSERT_TRUE(AhpdSelect(priors, 36, 50, 0.05, {}, &warm).ok());
-  for (const auto& state : warm.priors) {
-    EXPECT_TRUE(state.has_hessian);
-    EXPECT_EQ(state.hpd.path, HpdPath::kNewton);
-  }
-}
-
 TEST(AhpdWarmTest, CarryIsUsedUnconditionallyAcrossPosteriorJumps) {
   // The posterior-mean safety gate is gone: a carried interval seeds the
   // solvers even when the new posterior mean has left it (here the
@@ -215,17 +158,6 @@ TEST(AhpdWarmTest, CarryIsUsedUnconditionallyAcrossPosteriorJumps) {
   EXPECT_NEAR(warmed.interval.lower, cold.interval.lower, 5e-7);
   EXPECT_NEAR(warmed.interval.upper, cold.interval.upper, 5e-7);
   EXPECT_EQ(warmed.prior_index, cold.prior_index);
-}
-
-TEST(AhpdWarmTest, CacheHitsAreCounted) {
-  ResetThreadHpdStats();
-  const auto priors = DefaultUninformativePriors();
-  AhpdWarmState warm;
-  ASSERT_TRUE(AhpdSelect(priors, 26, 30, 0.05, {}, &warm).ok());
-  EXPECT_EQ(ThreadHpdStatsSnapshot().warm_cache_hits, 0u);
-  ASSERT_TRUE(AhpdSelect(priors, 26, 30, 0.05, {}, &warm).ok());
-  EXPECT_EQ(ThreadHpdStatsSnapshot().warm_cache_hits, priors.size());
-  ResetThreadHpdStats();
 }
 
 TEST(AhpdTest, WidthShrinksMonotonicallyWithData) {

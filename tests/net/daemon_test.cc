@@ -592,6 +592,71 @@ TEST(AuditDaemonTest, CheckpointFailuresAtDetachAndDrainAreCounted) {
       << daemon.StatsLine();
 }
 
+TEST(AuditDaemonTest, DrainSettleFailuresAreCountedAndResumeStaysExact) {
+  // The drain's store flush/fsync statuses are not discarded: with every
+  // WAL fsync failing, the settle failures are counted in the stats line,
+  // the drain still completes, and a restarted daemon resumes the audit
+  // onto the reference bytes.
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  const std::string dir = TempDir("settle_fail");
+  {
+    AuditDaemon daemon(DaemonOptions(dir));
+    daemon.RegisterKg("kg", &kg);
+    ASSERT_TRUE(daemon.Start().ok());
+    TestPeer peer;
+    ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+    OpenAuditMsg open;
+    open.audit_id = 14;
+    open.kg_name = "kg";
+    ASSERT_TRUE(
+        peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open))
+            .ok());
+    auto opened = peer.Read();
+    ASSERT_TRUE(opened.ok());
+    ASSERT_EQ(opened->type, static_cast<uint8_t>(MessageType::kAuditOpened));
+    StepBatchMsg batch;
+    batch.audit_id = 14;
+    batch.steps = 2;
+    ASSERT_TRUE(
+        peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+            .ok());
+    for (int i = 0; i < 2; ++i) {
+      auto update = peer.Read();
+      ASSERT_TRUE(update.ok()) << update.status().ToString();
+      ASSERT_EQ(update->type,
+                static_cast<uint8_t>(MessageType::kIntervalUpdate));
+    }
+    EXPECT_EQ(daemon.stats().settle_failures.load(), 0u);
+
+    ScopedFailpoints armed("wal.sync=prob:1");
+    ASSERT_TRUE(armed.status().ok());
+    daemon.RequestDrain();
+    while (peer.Read().ok()) {
+    }
+    daemon.Wait();
+    EXPECT_GT(daemon.stats().settle_failures.load(), 0u);
+    EXPECT_EQ(daemon.StatsLine().find("settle_failed=0"), std::string::npos)
+        << daemon.StatsLine();
+    EXPECT_NE(daemon.StatsLine().find("settle_failed="), std::string::npos)
+        << daemon.StatsLine();
+  }
+
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  OpenAuditMsg open;
+  open.audit_id = 14;
+  open.kg_name = "kg";
+  AuditClient client(ClientOptions(daemon.port()));
+  auto report = client.RunAudit(open);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(client.stats().opened.resumed);
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  daemon.Stop();
+}
+
 TEST(AuditDaemonTest, DrainingDaemonAnswersBusyAtOpen) {
   const KnowledgeGraph kg = TestKg();
   const std::string dir = TempDir("drain_busy");

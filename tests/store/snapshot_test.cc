@@ -4,6 +4,7 @@
 // state that behaves *identically* going forward, not merely approximately.
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "kgacc/estimate/accumulator.h"
@@ -231,24 +232,9 @@ TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
   AhpdWarmState original;
   original.Sync(3);
   original.priors[0].valid = true;
-  original.priors[0].tau = 17.25;
-  original.priors[0].n = 120.5;
-  original.priors[0].alpha = 0.05;
-  original.priors[0].hpd.interval = {0.71234567891234, 0.83456789123456};
-  original.priors[0].hpd.shape = BetaShape::kUnimodal;
-  original.priors[0].hpd.solver_iterations = 5;
-  original.priors[0].hpd.path = HpdPath::kNewton;
-  original.priors[0].hpd.cdf_evals = 10;
-  original.priors[0].hpd.pdf_evals = 10;
-  original.priors[0].hpd.quantile_evals = 2;
-  original.priors[0].hpd.kkt_coverage_residual = 1e-13;
-  original.priors[0].hpd.kkt_density_residual = -3e-10;
-  original.priors[0].has_hessian = true;
-  original.priors[0].hessian = {1.5, -0.25, -0.25, 2.5};
-  original.priors[0].hpd.has_hessian = true;
-  original.priors[0].hpd.hessian = {1.0, 0.0, 0.0, 1.0};
+  original.priors[0].interval = {0.71234567891234, 0.83456789123456};
   original.priors[2].valid = true;
-  original.priors[2].hpd.path = HpdPath::kSlsqpFallback;
+  original.priors[2].interval = {1e-300, 0.99999999999999989};
 
   ByteWriter w;
   SaveAhpdWarmState(original, &w);
@@ -259,18 +245,12 @@ TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
   ASSERT_EQ(restored.priors.size(), 3u);
   const auto& p0 = restored.priors[0];
   EXPECT_TRUE(p0.valid);
-  EXPECT_EQ(p0.tau, 17.25);
-  EXPECT_EQ(p0.n, 120.5);
-  EXPECT_EQ(p0.alpha, 0.05);
-  EXPECT_EQ(p0.hpd.interval.lower, 0.71234567891234);
-  EXPECT_EQ(p0.hpd.interval.upper, 0.83456789123456);
-  EXPECT_EQ(p0.hpd.path, HpdPath::kNewton);
-  EXPECT_EQ(p0.hpd.solver_iterations, 5);
-  EXPECT_EQ(p0.hpd.kkt_density_residual, -3e-10);
-  EXPECT_TRUE(p0.has_hessian);
-  EXPECT_EQ(p0.hessian, (std::array<double, 4>{1.5, -0.25, -0.25, 2.5}));
+  EXPECT_EQ(p0.interval.lower, 0.71234567891234);
+  EXPECT_EQ(p0.interval.upper, 0.83456789123456);
   EXPECT_FALSE(restored.priors[1].valid);
-  EXPECT_EQ(restored.priors[2].hpd.path, HpdPath::kSlsqpFallback);
+  EXPECT_TRUE(restored.priors[2].valid);
+  EXPECT_EQ(restored.priors[2].interval.lower, 1e-300);
+  EXPECT_EQ(restored.priors[2].interval.upper, 0.99999999999999989);
 }
 
 /// Draws `steps` batches, saves the sampler, restores into a fresh clone,
@@ -348,9 +328,10 @@ TEST(SnapshotTest, StatelessClusterSamplersRoundTripTrivially) {
 }
 
 TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
-  // v2 inserted fields mid-payload (reservoir capacity + subsample); a
-  // payload stamped with another version must fail the explicit version
-  // gate up front, not misparse with every later field shifted by one.
+  // v2 inserted fields mid-payload (reservoir capacity + subsample) and v3
+  // slimmed the HPD warm carry; a payload stamped with another version
+  // must fail the explicit version gate up front, not misparse with every
+  // later field shifted.
   const auto kg = TestKg();
   OracleAnnotator annotator;
   SrsSampler sampler(kg, SrsConfig{});
@@ -361,13 +342,20 @@ TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
   session.SaveState(&w);
   std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
   ASSERT_FALSE(bytes.empty());
-  bytes[0] = 1;  // The pre-reservoir format.
-  EvaluationSession same(sampler, annotator, config, 42);
-  ByteReader r({bytes.data(), bytes.size()});
-  const Status status = same.LoadState(&r);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("incompatible"), std::string::npos)
-      << status.ToString();
+  // v1 is the pre-reservoir format; v2 carried the HPD warm cache keys and
+  // BFGS Hessian that v3 dropped.
+  for (const uint8_t old_version : {1, 2}) {
+    bytes[0] = old_version;
+    EvaluationSession same(sampler, annotator, config, 42);
+    ByteReader r({bytes.data(), bytes.size()});
+    const Status status = same.LoadState(&r);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("session snapshot version " +
+                                    std::to_string(old_version) +
+                                    " is incompatible"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(SnapshotTest, SessionSnapshotRejectsFingerprintMismatch) {

@@ -10,9 +10,8 @@ the allowed factor (default 2x):
   rehash). A ratio that doubles means someone reintroduced an O(sample)
   term into Step().
 * the HPD incomplete-beta *evaluations per solve* per design — the solver
-  efficiency of the interval layer (2x2 Newton KKT primary path, warm
-  starts). A jump means solves fell back off the Newton path or the warm
-  carry broke.
+  efficiency of the interval layer (bracketed Newton root, warm starts).
+  A jump means solves left the Newton path or the warm carry broke.
 
 With --service-fresh/--service-record it additionally gates the
 `service_hpd_summary` record of BENCH_service.json — the same
