@@ -121,9 +121,12 @@ Status HpdViaNewton(const BetaDistribution& posterior, double alpha,
     p.du_dt = p.l * ratio;
     out->cdf_evals += 2;
     ++out->pdf_evals;
-    p.g = partner.converged
-              ? posterior.Cdf(p.u) - posterior.Cdf(p.l) - (1.0 - alpha)
-              : std::numeric_limits<double>::quiet_NaN();
+    p.g = std::numeric_limits<double>::quiet_NaN();
+    if (partner.converged) {
+      double f_l = 0.0, f_u = 0.0;
+      posterior.CdfPair(p.l, p.u, &f_l, &f_u);
+      p.g = f_u - f_l - (1.0 - alpha);
+    }
     p.dg = std::exp(t + posterior.LogPdf(p.l)) * (ratio - 1.0);
     return p;
   };
@@ -185,7 +188,9 @@ Status HpdViaSlsqp(const BetaDistribution& posterior, double alpha,
   problem.eq_constraints.push_back(
       [&posterior, alpha, out](const std::vector<double>& x) {
         out->cdf_evals += 2;
-        return posterior.Cdf(x[1]) - posterior.Cdf(x[0]) - (1.0 - alpha);
+        double f_l = 0.0, f_u = 0.0;
+        posterior.CdfPair(x[0], x[1], &f_l, &f_u);
+        return f_u - f_l - (1.0 - alpha);
       });
   problem.eq_gradients.push_back(
       [&posterior, out](const std::vector<double>& x) {

@@ -1,5 +1,6 @@
 #include "kgacc/math/beta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -60,6 +61,16 @@ double BetaDistribution::Cdf(double x) const {
   // dominate a cold call (the HPD solvers evaluate this CDF hundreds of
   // times per interval at fixed (a, b)).
   return RegularizedIncompleteBeta(x, a_, b_, log_beta_).value();
+}
+
+void BetaDistribution::CdfPair(double x1, double x2, double* f1,
+                               double* f2) const {
+  // Cdf's clamping first, so the kernel sees arguments in [0, 1] only.
+  const double c1 = std::clamp(x1, 0.0, 1.0);
+  const double c2 = std::clamp(x2, 0.0, 1.0);
+  // Parameters were validated at construction, so this cannot fail.
+  KGACC_CHECK(
+      RegularizedIncompleteBetaPair(c1, c2, a_, b_, log_beta_, f1, f2).ok());
 }
 
 Result<double> BetaDistribution::Quantile(double p) const {

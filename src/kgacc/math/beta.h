@@ -61,6 +61,11 @@ class BetaDistribution {
   /// F(x) = P(X <= x), clamped to [0, 1] outside the support.
   double Cdf(double x) const;
 
+  /// F(x1) and F(x2) into `*f1` and `*f2`, bit-identical to two Cdf calls;
+  /// the two continued fractions run interleaved in one loop
+  /// (RegularizedIncompleteBetaPair).
+  void CdfPair(double x1, double x2, double* f1, double* f2) const;
+
   /// F^{-1}(p) for p in [0, 1].
   Result<double> Quantile(double p) const;
 

@@ -100,6 +100,22 @@ TEST(BetaDistributionTest, CdfClampedOutsideSupport) {
   EXPECT_DOUBLE_EQ(d.Cdf(2.0), 1.0);
 }
 
+TEST(BetaDistributionTest, CdfPairMatchesTwoCdfCalls) {
+  // Including Cdf's clamping outside the support and -0.0, whose Cdf is
+  // +0.0.
+  const auto d = *BetaDistribution::Create(3.5, 40.0);
+  const double xs[] = {-1.0, -0.0, 0.0, 0.02, 0.08, 0.5, 1.0, 2.0};
+  for (const double x1 : xs) {
+    for (const double x2 : xs) {
+      double f1 = -1.0, f2 = -1.0;
+      d.CdfPair(x1, x2, &f1, &f2);
+      EXPECT_EQ(std::signbit(f1), std::signbit(d.Cdf(x1))) << x1;
+      EXPECT_EQ(f1, d.Cdf(x1)) << x1;
+      EXPECT_EQ(f2, d.Cdf(x2)) << x2;
+    }
+  }
+}
+
 TEST(BetaDistributionTest, CdfIsDerivativeConsistentWithPdf) {
   const auto d = *BetaDistribution::Create(4.0, 7.0);
   const double h = 1e-6;
