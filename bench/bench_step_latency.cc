@@ -123,7 +123,6 @@ int main() {
   config.method = IntervalMethod::kAhpd;
   config.moe_threshold = 1e-9;
   config.max_triples = checkpoints.back() + 20000;
-  config.retain_unit_history = false;  // The O(batch) step needs no replay.
 
   std::printf("EvaluationSession::Step() latency vs accumulated sample size "
               "(aHPD, %d-step windows)\n", window);

@@ -44,7 +44,8 @@ Status EstimatorAccumulator::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(sum_tau2_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(sum_taum_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(sum_m2_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t strata, r->Varint());
+  // One stratum encodes to two varints.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t strata, r->Count(2));
   n_h_.assign(strata, 0);
   tau_h_.assign(strata, 0);
   for (uint64_t h = 0; h < strata; ++h) {

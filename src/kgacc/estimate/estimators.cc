@@ -4,18 +4,31 @@
 
 namespace kgacc {
 
-Result<AccuracyEstimate> EstimateSrs(const AnnotatedSample& sample,
+namespace {
+
+/// An estimate carrying the sample totals n_S, tau_S and the unit count.
+AccuracyEstimate Totals(std::span<const AnnotatedUnit> units) {
+  AccuracyEstimate est;
+  for (const AnnotatedUnit& u : units) {
+    est.n += u.drawn;
+    est.tau += u.correct;
+  }
+  est.num_units = units.size();
+  return est;
+}
+
+}  // namespace
+
+Result<AccuracyEstimate> EstimateSrs(std::span<const AnnotatedUnit> units,
                                      uint64_t population_size) {
-  if (sample.num_triples() == 0) {
+  AccuracyEstimate est = Totals(units);
+  if (est.n == 0) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  if (population_size != 0 && sample.num_triples() > population_size) {
+  if (population_size != 0 && est.n > population_size) {
     return Status::InvalidArgument(
         "sample larger than the declared population");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
   est.num_units = est.n;
   est.mu = static_cast<double>(est.tau) / static_cast<double>(est.n);
   est.variance = est.mu * (1.0 - est.mu) / static_cast<double>(est.n);
@@ -28,15 +41,11 @@ Result<AccuracyEstimate> EstimateSrs(const AnnotatedSample& sample,
   return est;
 }
 
-Result<AccuracyEstimate> EstimateCluster(const AnnotatedSample& sample) {
-  const auto& units = sample.units();
+Result<AccuracyEstimate> EstimateCluster(std::span<const AnnotatedUnit> units) {
   if (units.empty()) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = units.size();
+  AccuracyEstimate est = Totals(units);
 
   const double nc = static_cast<double>(units.size());
   double mean = 0.0;
@@ -62,15 +71,11 @@ Result<AccuracyEstimate> EstimateCluster(const AnnotatedSample& sample) {
   return est;
 }
 
-Result<AccuracyEstimate> EstimateRcs(const AnnotatedSample& sample) {
-  const auto& units = sample.units();
+Result<AccuracyEstimate> EstimateRcs(std::span<const AnnotatedUnit> units) {
   if (units.empty()) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = units.size();
+  AccuracyEstimate est = Totals(units);
 
   double sum_tau = 0.0, sum_m = 0.0;
   for (const AnnotatedUnit& u : units) {
@@ -99,9 +104,10 @@ Result<AccuracyEstimate> EstimateRcs(const AnnotatedSample& sample) {
 }
 
 Result<AccuracyEstimate> EstimateStratified(
-    const AnnotatedSample& sample,
+    std::span<const AnnotatedUnit> units,
     const std::vector<double>& stratum_weights) {
-  if (sample.num_triples() == 0) {
+  AccuracyEstimate est = Totals(units);
+  if (est.n == 0) {
     return Status::FailedPrecondition("cannot estimate from an empty sample");
   }
   if (stratum_weights.empty()) {
@@ -109,7 +115,7 @@ Result<AccuracyEstimate> EstimateStratified(
   }
   const size_t num_strata = stratum_weights.size();
   std::vector<double> n_h(num_strata, 0.0), tau_h(num_strata, 0.0);
-  for (const AnnotatedUnit& u : sample.units()) {
+  for (const AnnotatedUnit& u : units) {
     if (u.stratum >= num_strata) {
       return Status::InvalidArgument("unit stratum out of range");
     }
@@ -117,10 +123,6 @@ Result<AccuracyEstimate> EstimateStratified(
     tau_h[u.stratum] += static_cast<double>(u.correct);
   }
 
-  AccuracyEstimate est;
-  est.n = sample.num_triples();
-  est.tau = sample.num_correct();
-  est.num_units = sample.units().size();
   const double pooled =
       static_cast<double>(est.tau) / static_cast<double>(est.n);
 
@@ -144,21 +146,21 @@ Result<AccuracyEstimate> EstimateStratified(
 }
 
 Result<AccuracyEstimate> Estimate(EstimatorKind kind,
-                                  const AnnotatedSample& sample,
+                                  std::span<const AnnotatedUnit> units,
                                   const std::vector<double>* stratum_weights) {
   switch (kind) {
     case EstimatorKind::kSrs:
-      return EstimateSrs(sample);
+      return EstimateSrs(units);
     case EstimatorKind::kCluster:
-      return EstimateCluster(sample);
+      return EstimateCluster(units);
     case EstimatorKind::kRcs:
-      return EstimateRcs(sample);
+      return EstimateRcs(units);
     case EstimatorKind::kStratified:
       if (stratum_weights == nullptr) {
         return Status::InvalidArgument(
             "stratified estimation requires stratum weights");
       }
-      return EstimateStratified(sample, *stratum_weights);
+      return EstimateStratified(units, *stratum_weights);
   }
   return Status::InvalidArgument("unknown estimator kind");
 }

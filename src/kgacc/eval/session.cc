@@ -14,13 +14,16 @@ namespace {
 /// are working state, not archival data).
 ///
 /// v1: original layout.
-/// v2: adds `unit_reservoir_capacity` to the config fingerprint and the
+/// v2: adds a unit-reservoir capacity to the config fingerprint and the
 ///     reservoir subsample to the AnnotatedSample payload — fields shifted,
 ///     so a v1 payload must fail the version gate rather than misparse.
 /// v3: the HPD warm carry keeps only each prior's seed interval — the
 ///     (tau, n, alpha) cache keys, the solver diagnostics, and the carried
 ///     BFGS Hessian are gone, so a v2 payload must fail the gate too.
-constexpr uint8_t kSessionSnapshotVersion = 3;
+/// v4: the per-unit history and its reservoir are gone, from the config
+///     fingerprint and from the AnnotatedSample payload (now totals and the
+///     two distinct sets only), so a v3 payload must fail the gate as well.
+constexpr uint8_t kSessionSnapshotVersion = 4;
 
 }  // namespace
 
@@ -60,13 +63,6 @@ EvaluationSession::EvaluationSession(Sampler& sampler, Annotator& annotator,
     batch_ = &own_batch_;
   }
   cost_model_.annotators_per_triple = annotator_.JudgmentsPerTriple();
-  sample_->set_retain_units(config_.retain_unit_history);
-  if (!config_.retain_unit_history && config_.unit_reservoir_capacity > 0) {
-    // The reservoir's stream is decorrelated from the session Rng (its own
-    // seeded generator), so arming it never perturbs the audit's draws.
-    sample_->EnableReservoir(config_.unit_reservoir_capacity,
-                             Mix64(seed ^ 0x7265737672756e69ULL));
-  }
   if (init_status_.ok()) sampler_.Reset();
 }
 
@@ -197,8 +193,6 @@ void EvaluationSession::SaveState(ByteWriter* w) const {
   w->PutVarint(config_.max_triples);
   w->PutDouble(config_.max_cost_seconds);
   w->PutBool(config_.finite_population_correction);
-  w->PutBool(config_.retain_unit_history);
-  w->PutVarint(config_.unit_reservoir_capacity);
   w->PutBool(config_.record_trace);
   w->PutVarint(config_.priors.size());
   // The prior *parameters*, not just the count: a snapshot solved under
@@ -255,8 +249,6 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(const uint64_t max_triples, r->Varint());
   KGACC_ASSIGN_OR_RETURN(const double max_cost, r->Double());
   KGACC_ASSIGN_OR_RETURN(const bool fpc, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const bool retain, r->Bool());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t reservoir_capacity, r->Varint());
   KGACC_ASSIGN_OR_RETURN(const bool record_trace, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint64_t num_priors, r->Varint());
   bool priors_match = num_priors == config_.priors.size();
@@ -273,8 +265,6 @@ Status EvaluationSession::LoadState(ByteReader* r) {
       max_triples != config_.max_triples ||
       max_cost != config_.max_cost_seconds ||
       fpc != config_.finite_population_correction ||
-      retain != config_.retain_unit_history ||
-      reservoir_capacity != config_.unit_reservoir_capacity ||
       record_trace != config_.record_trace || !priors_match) {
     return Status::InvalidArgument(
         "session snapshot fingerprint does not match this session's design, "
@@ -301,7 +291,8 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(result_.converged, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint8_t stop_reason, r->U8());
   result_.stop_reason = static_cast<StopReason>(stop_reason);
-  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Varint());
+  // One trace point encodes to a varint and two doubles.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Count(1 + 2 * 8));
   result_.trace.clear();
   result_.trace.reserve(trace_size);
   for (uint64_t i = 0; i < trace_size; ++i) {

@@ -104,9 +104,8 @@ class EvaluationSession {
   /// the full `RunEvaluation` semantics.
   Result<EvaluationResult> Run();
 
-  /// The accumulated annotated sample (Algorithm 1's `sample` variable).
-  /// Its `units()` history is empty when the config opted out of
-  /// `retain_unit_history`; totals and distinct counts are always live.
+  /// The accumulated annotated sample (Algorithm 1's `sample` variable):
+  /// its totals and distinct entity/triple counts.
   const AnnotatedSample& sample() const { return *sample_; }
 
   /// The streaming estimator state Step() estimates from — every batch is
@@ -124,8 +123,8 @@ class EvaluationSession {
   int iterations() const { return result_.iterations; }
 
   /// Serializes the complete resumable state — RNG stream position, sampler
-  /// bookkeeping, streaming estimator, annotated sample (totals, distinct
-  /// sets, retained history), HPD warm carry, and the partial result — as
+  /// bookkeeping, streaming estimator, annotated sample (totals and
+  /// distinct sets), HPD warm carry, and the partial result — as
   /// one snapshot payload (the checkpoint frames `CheckpointManager` writes
   /// into the annotation WAL). All doubles travel bit-exact: a restored
   /// session replays the identical stochastic and floating-point path, so

@@ -14,7 +14,8 @@ void SaveAhpdWarmState(const AhpdWarmState& state, ByteWriter* w) {
 }
 
 Status LoadAhpdWarmState(ByteReader* r, AhpdWarmState* state) {
-  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Varint());
+  // One prior encodes to a flag and two doubles.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t count, r->Count(1 + 2 * 8));
   state->priors.assign(count, AhpdWarmState::PriorState{});
   for (AhpdWarmState::PriorState& prior : state->priors) {
     KGACC_ASSIGN_OR_RETURN(prior.valid, r->Bool());

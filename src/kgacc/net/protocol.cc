@@ -58,7 +58,8 @@ Status GetResult(ByteReader* r, EvaluationResult* result) {
   result->stop_reason = static_cast<StopReason>(reason);
   KGACC_ASSIGN_OR_RETURN(result->degraded, r->Bool());
   KGACC_ASSIGN_OR_RETURN(result->degradation_note, r->String());
-  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_points, r->Varint());
+  // One trace point encodes to a varint and two doubles.
+  KGACC_ASSIGN_OR_RETURN(const uint64_t trace_points, r->Count(1 + 2 * 8));
   result->trace.clear();
   result->trace.reserve(static_cast<size_t>(trace_points));
   for (uint64_t i = 0; i < trace_points; ++i) {

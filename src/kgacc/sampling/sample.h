@@ -9,13 +9,12 @@
 #include "kgacc/kg/triple.h"
 #include "kgacc/util/check.h"
 #include "kgacc/util/flat_set.h"
-#include "kgacc/util/random.h"
 #include "kgacc/util/status.h"
 
 /// \file sample.h
 /// Accumulated annotated sample (the `sample` variable of Algorithm 1).
 /// Grows batch by batch across the iterations of the evaluation framework
-/// and feeds the estimators, the interval constructors, and the cost model.
+/// and feeds the stop rules and the cost model.
 
 namespace kgacc {
 
@@ -140,20 +139,20 @@ struct AnnotatedUnit {
   uint32_t correct = 0;
 };
 
-/// The running annotated sample. Tracks totals (n_S, tau_S), per-unit
-/// records for cluster estimators, and the *distinct* entities/triples
-/// touched, which is what the annotation cost function charges for
-/// (Eq. 12: identifying an already-identified entity is free).
+/// The running annotated sample: the totals (n_S, tau_S) and the
+/// *distinct* entities/triples touched, which is what the annotation cost
+/// function charges for (Eq. 12: identifying an already-identified entity
+/// is free). The estimators read the session's `EstimatorAccumulator`, so
+/// no per-unit record is kept.
 class AnnotatedSample {
  public:
-  /// Appends an annotated unit.
+  /// Adds an annotated unit to the totals.
   void Add(const AnnotatedUnit& unit);
 
-  /// Restores the freshly constructed state while keeping every buffer's
-  /// capacity (the unit history and both distinct-set tables). This is what
-  /// lets a worker context recycle one sample across thousands of audits:
-  /// after the first few jobs the flat sets are sized for the workload and
-  /// later sessions never rehash.
+  /// Restores the freshly constructed state while keeping both distinct-set
+  /// tables' capacity. This is what lets a worker context recycle one
+  /// sample across thousands of audits: after the first few jobs the flat
+  /// sets are sized for the workload and later sessions never rehash.
   void Clear();
 
   /// Number of annotated triples n_S (duplicates from with-replacement
@@ -163,39 +162,8 @@ class AnnotatedSample {
   /// Number of correct annotations tau_S.
   uint64_t num_correct() const { return num_correct_; }
 
-  /// Units accumulated so far (including ones dropped from `units()` when
-  /// retention is off).
+  /// Units accumulated so far.
   uint64_t num_units() const { return num_units_; }
-
-  /// Sampled units in arrival order (the first-stage units for cluster
-  /// designs; one unit per triple for SRS). Empty when unit retention is
-  /// disabled — check `retain_units()` before replaying.
-  const std::vector<AnnotatedUnit>& units() const { return units_; }
-
-  /// Controls whether `Add` keeps the per-unit history. The batch
-  /// estimators in estimate/estimators.h replay `units()`, but the
-  /// streaming `EstimatorAccumulator` does not — sessions that feed an
-  /// accumulator can opt out and hold O(1) memory per design instead of
-  /// O(units). Totals and distinct-set tracking are unaffected. Disabling
-  /// retention mid-run keeps what was already recorded.
-  void set_retain_units(bool retain) { retain_units_ = retain; }
-  bool retain_units() const { return retain_units_; }
-
-  /// Arms the diagnostic reservoir: while unit retention is *off*, `Add`
-  /// maintains a fixed-capacity uniform subsample of the dropped units
-  /// (Vitter's Algorithm R over its own seeded Rng), so bootstrap and
-  /// design-effect diagnostics still have per-unit data after an O(1)-memory
-  /// audit. Inactive while retention is on — `units()` is already complete.
-  /// The reservoir and its Rng ride through `SaveState`/`LoadState`, so a
-  /// resumed audit continues the same subsampling stream.
-  void EnableReservoir(uint64_t capacity, uint64_t seed);
-
-  /// The reservoir's units (arrival order is *not* preserved past the first
-  /// `reservoir_capacity()` entries — it is a uniform subset, not a prefix).
-  const std::vector<AnnotatedUnit>& reservoir_units() const {
-    return reservoir_;
-  }
-  uint64_t reservoir_capacity() const { return reservoir_capacity_; }
 
   /// Distinct entities |E_S| identified so far.
   uint64_t num_distinct_entities() const { return entities_.size(); }
@@ -210,22 +178,15 @@ class AnnotatedSample {
 
   bool empty() const { return num_units_ == 0; }
 
-  /// Serializes totals, the retained unit history (when enabled), and the
-  /// members of both distinct sets. Restore rebuilds the sets by
-  /// re-insertion — membership is the state; the table layout is not.
+  /// Serializes the totals and the members of both distinct sets. Restore
+  /// rebuilds the sets by re-insertion — membership is the state; the
+  /// table layout is not.
   void SaveState(ByteWriter* w) const;
   Status LoadState(ByteReader* r);
 
  private:
   static uint64_t TripleKey(const TripleRef& ref);
 
-  std::vector<AnnotatedUnit> units_;
-  bool retain_units_ = true;
-  /// Algorithm-R state; active only when `reservoir_capacity_ > 0` and
-  /// retention is off.
-  std::vector<AnnotatedUnit> reservoir_;
-  uint64_t reservoir_capacity_ = 0;
-  Rng reservoir_rng_{0};
   uint64_t num_units_ = 0;
   uint64_t num_triples_ = 0;
   uint64_t num_correct_ = 0;

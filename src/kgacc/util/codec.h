@@ -166,6 +166,18 @@ class ByteReader {
     KGACC_ASSIGN_OR_RETURN(const uint64_t v, Varint());
     return int64_t(v >> 1) ^ -int64_t(v & 1);
   }
+  /// A varint element count that the rest of the input can actually hold,
+  /// given that one element encodes to at least `min_element_bytes` bytes.
+  /// Decoders size allocations from it, so a crafted count fails here
+  /// instead of reaching `reserve`.
+  Result<uint64_t> Count(size_t min_element_bytes) {
+    KGACC_ASSIGN_OR_RETURN(const uint64_t n, Varint());
+    if (n > remaining() / min_element_bytes) {
+      return Status::OutOfRange("codec: count of " + std::to_string(n) +
+                                " elements exceeds the remaining input");
+    }
+    return n;
+  }
   /// A view of the next `n` raw bytes (no copy).
   Result<std::span<const uint8_t>> Bytes(size_t n) {
     if (remaining() < n) return Truncated("bytes");

@@ -33,11 +33,11 @@ AnnotatedUnit RandomUnit(Rng* rng, uint32_t max_drawn, uint32_t num_strata) {
 
 TEST(EstimatorAccumulatorTest, SrsMatchesBatchBitForBit) {
   Rng rng(101);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   EstimatorAccumulator acc(EstimatorKind::kSrs);
   for (int i = 0; i < 5000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 1, 1);  // One triple per unit.
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
     if (i % 7 != 0) continue;  // Compare on a sweep of prefixes.
     const auto batch = *EstimateSrs(sample);
@@ -52,12 +52,12 @@ TEST(EstimatorAccumulatorTest, SrsMatchesBatchBitForBit) {
 
 TEST(EstimatorAccumulatorTest, SrsFinitePopulationCorrectionMatches) {
   Rng rng(102);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   EstimatorAccumulator acc(EstimatorKind::kSrs);
   const uint64_t population = 4000;
   for (int i = 0; i < 3000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 1, 1);
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
   }
   const auto batch = *EstimateSrs(sample, population);
@@ -75,11 +75,11 @@ TEST(EstimatorAccumulatorTest, SrsFinitePopulationCorrectionMatches) {
 
 TEST(EstimatorAccumulatorTest, ClusterMatchesBatchOnRandomStreams) {
   Rng rng(103);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   EstimatorAccumulator acc(EstimatorKind::kCluster);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 12, 1);
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
     if (i % 11 != 0) continue;
     const auto batch = *EstimateCluster(sample);
@@ -95,8 +95,8 @@ TEST(EstimatorAccumulatorTest, ClusterSingleUnitUsesWorstCaseVariance) {
   AnnotatedUnit unit;
   unit.drawn = 4;
   unit.correct = 3;
-  AnnotatedSample sample;
-  sample.Add(unit);
+  std::vector<AnnotatedUnit> sample;
+  sample.push_back(unit);
   EstimatorAccumulator acc(EstimatorKind::kCluster);
   acc.Add(unit);
   const auto batch = *EstimateCluster(sample);
@@ -108,11 +108,11 @@ TEST(EstimatorAccumulatorTest, ClusterSingleUnitUsesWorstCaseVariance) {
 
 TEST(EstimatorAccumulatorTest, RcsMatchesBatchOnRandomStreams) {
   Rng rng(104);
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   EstimatorAccumulator acc(EstimatorKind::kRcs);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 15, 1);
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
     if (i % 11 != 0) continue;
     const auto batch = *EstimateRcs(sample);
@@ -142,13 +142,13 @@ TEST(EstimatorAccumulatorTest, RcsDegenerateResidualsClampToZero) {
 TEST(EstimatorAccumulatorTest, StratifiedMatchesBatchBitForBit) {
   Rng rng(105);
   const std::vector<double> weights = {0.5, 0.3, 0.15, 0.05};
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   EstimatorAccumulator acc(EstimatorKind::kStratified);
   for (int i = 0; i < 4000; ++i) {
     AnnotatedUnit unit = RandomUnit(&rng, 6, weights.size());
     // Leave stratum 3 unobserved early to exercise the imputation branch.
     if (i < 500 && unit.stratum == 3) unit.stratum = 0;
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
     if (i % 13 != 0) continue;
     const auto batch = *EstimateStratified(sample, weights);
@@ -200,10 +200,10 @@ TEST(EstimatorAccumulatorTest, ResetRestoresFreshState) {
   EXPECT_FALSE(acc.Estimate().ok());
 
   // A post-reset stream estimates as if the accumulator were new.
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   for (int i = 0; i < 100; ++i) {
     const AnnotatedUnit unit = RandomUnit(&rng, 5, 1);
-    sample.Add(unit);
+    sample.push_back(unit);
     acc.Add(unit);
   }
   const auto batch = *EstimateCluster(sample);
@@ -227,15 +227,15 @@ TEST(EstimatorAccumulatorTest, AddBatchEqualsElementwiseAdds) {
 }
 
 TEST(EstimateDispatchTest, RcsKindRoutesToRatioEstimator) {
-  AnnotatedSample sample;
+  std::vector<AnnotatedUnit> sample;
   AnnotatedUnit a;
   a.drawn = 4;
   a.correct = 4;
   AnnotatedUnit b;
   b.drawn = 2;
   b.correct = 0;
-  sample.Add(a);
-  sample.Add(b);
+  sample.push_back(a);
+  sample.push_back(b);
   const auto via_kind = *Estimate(EstimatorKind::kRcs, sample);
   const auto direct = *EstimateRcs(sample);
   EXPECT_EQ(via_kind.mu, direct.mu);

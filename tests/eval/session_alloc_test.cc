@@ -31,7 +31,6 @@ EvaluationConfig NeverConvergingConfig() {
   config.method = IntervalMethod::kWald;  // Closed form: no solver state.
   config.moe_threshold = 1e-12;
   config.max_triples = 1u << 30;
-  config.retain_unit_history = false;  // O(1) sample memory.
   return config;
 }
 

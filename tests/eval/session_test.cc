@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "kgacc/kg/profiles.h"
@@ -107,12 +108,32 @@ TEST(EvaluationSessionTest, RcsDesignRunsTheRatioEstimatorEndToEnd) {
   ExpectSameResult(*RunEvaluation(a, annotator, config, 14), *session.Run());
 }
 
+/// Judges like the oracle and records each unit's correct count in
+/// annotation order, so a test can rebuild the annotated unit stream.
+class RecordingAnnotator final : public Annotator {
+ public:
+  bool Annotate(const KgView& kg, const TripleRef& ref, Rng* rng) override {
+    return oracle_.Annotate(kg, ref, rng);
+  }
+  uint32_t AnnotateUnit(const KgView& kg, uint64_t cluster,
+                        std::span<const uint64_t> offsets, Rng* rng) override {
+    correct.push_back(oracle_.AnnotateUnit(kg, cluster, offsets, rng));
+    return correct.back();
+  }
+
+  std::vector<uint32_t> correct;
+
+ private:
+  OracleAnnotator oracle_;
+};
+
 // The streaming accumulator the session estimates from must agree with the
-// batch estimators replaying the accumulated sample — at every step, for
+// batch estimators replaying the annotated unit stream — at every step, for
 // every design (the batch functions stay the reference implementation).
+// The stream is rebuilt on the test side: drawn units from the scratch
+// batch, correct counts from the recording annotator.
 TEST(EvaluationSessionTest, AccumulatorMatchesBatchEstimateAtEveryStep) {
   const auto kg = MakeKg(0.85, 500);
-  OracleAnnotator annotator;
   EvaluationConfig config;
   config.moe_threshold = 0.02;  // Long enough run to stack many batches.
   config.max_triples = 4000;
@@ -125,94 +146,39 @@ TEST(EvaluationSessionTest, AccumulatorMatchesBatchEstimateAtEveryStep) {
       std::make_unique<StratifiedSampler>(kg, StratifiedConfig{}));
   for (const auto& sampler : samplers) {
     SCOPED_TRACE(sampler->name());
-    EvaluationSession session(*sampler, annotator, config, 21);
+    RecordingAnnotator annotator;
+    SessionScratch scratch;
+    EvaluationSession session(*sampler, annotator, config, 21, &scratch);
+    std::vector<AnnotatedUnit> units;
     while (!session.done()) {
       ASSERT_TRUE(session.Step().ok());
+      const SampleBatch& batch = scratch.batch;
+      ASSERT_EQ(annotator.correct.size(), units.size() + batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const SampledUnit& unit = batch.unit(i);
+        AnnotatedUnit annotated;
+        annotated.cluster = unit.cluster;
+        annotated.cluster_population = unit.cluster_population;
+        annotated.stratum = unit.stratum;
+        annotated.drawn = unit.offset_count;
+        annotated.correct = annotator.correct[units.size()];
+        units.push_back(annotated);
+      }
+      ASSERT_EQ(units.size(), session.sample().num_units());
       const auto streaming =
           *session.accumulator().Estimate(sampler->stratum_weights());
-      const auto batch = *Estimate(sampler->estimator(), session.sample(),
-                                   sampler->stratum_weights());
-      EXPECT_EQ(streaming.mu, batch.mu);
-      EXPECT_EQ(streaming.n, batch.n);
-      EXPECT_EQ(streaming.tau, batch.tau);
-      EXPECT_EQ(streaming.num_units, batch.num_units);
-      EXPECT_NEAR(streaming.variance, batch.variance,
-                  1e-12 * std::max(1.0, batch.variance));
+      const auto batch_estimate =
+          *Estimate(sampler->estimator(), units, sampler->stratum_weights());
+      EXPECT_EQ(streaming.mu, batch_estimate.mu);
+      EXPECT_EQ(streaming.n, batch_estimate.n);
+      EXPECT_EQ(streaming.tau, batch_estimate.tau);
+      EXPECT_EQ(streaming.num_units, batch_estimate.num_units);
+      EXPECT_NEAR(streaming.variance, batch_estimate.variance,
+                  1e-12 * std::max(1.0, batch_estimate.variance));
+      EXPECT_EQ(batch_estimate.n, session.sample().num_triples());
+      EXPECT_EQ(batch_estimate.tau, session.sample().num_correct());
     }
   }
-}
-
-TEST(EvaluationSessionTest, DroppingUnitHistoryDoesNotChangeTheRun) {
-  const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
-  EvaluationConfig config;
-  config.record_trace = true;
-
-  for (const bool twcs : {false, true}) {
-    SrsSampler srs_a(kg, SrsConfig{}), srs_b(kg, SrsConfig{});
-    TwcsSampler twcs_a(kg, TwcsConfig{}), twcs_b(kg, TwcsConfig{});
-    Sampler& a = twcs ? static_cast<Sampler&>(twcs_a) : srs_a;
-    Sampler& b = twcs ? static_cast<Sampler&>(twcs_b) : srs_b;
-
-    EvaluationConfig lean = config;
-    lean.retain_unit_history = false;
-    EvaluationSession retained(a, annotator, config, 33);
-    EvaluationSession dropped(b, annotator, lean, 33);
-    const auto result_retained = *retained.Run();
-    const auto result_dropped = *dropped.Run();
-    SCOPED_TRACE(twcs ? "TWCS" : "SRS");
-    ExpectSameResult(result_retained, result_dropped);
-    EXPECT_FALSE(retained.sample().units().empty());
-    EXPECT_TRUE(dropped.sample().units().empty());
-    EXPECT_EQ(dropped.sample().num_units(),
-              retained.sample().units().size());
-  }
-}
-
-TEST(EvaluationSessionTest, LeanSessionsKeepASeededReservoirSubsample) {
-  // retain_unit_history=false no longer throws every unit away: the
-  // session keeps a bounded, seeded reservoir subsample for post-hoc
-  // diagnostics, without changing the audit itself.
-  const auto kg = MakeKg(0.85);
-  OracleAnnotator annotator;
-  EvaluationConfig lean;
-  lean.retain_unit_history = false;
-  lean.unit_reservoir_capacity = 16;
-
-  SrsSampler sampler_a(kg, SrsConfig{}), sampler_b(kg, SrsConfig{});
-  EvaluationSession a(sampler_a, annotator, lean, 33);
-  EvaluationSession b(sampler_b, annotator, lean, 33);
-  const auto result_a = *a.Run();
-  const auto result_b = *b.Run();
-  ExpectSameResult(result_a, result_b);
-
-  EXPECT_TRUE(a.sample().units().empty());
-  const auto& reservoir = a.sample().reservoir_units();
-  EXPECT_EQ(reservoir.size(),
-            std::min<uint64_t>(16, a.sample().num_units()));
-  EXPECT_FALSE(reservoir.empty());
-  // Seeded: identical sessions keep the identical subsample.
-  ASSERT_EQ(reservoir.size(), b.sample().reservoir_units().size());
-  for (size_t i = 0; i < reservoir.size(); ++i) {
-    EXPECT_EQ(reservoir[i].cluster, b.sample().reservoir_units()[i].cluster);
-    EXPECT_EQ(reservoir[i].correct, b.sample().reservoir_units()[i].correct);
-  }
-
-  // Capacity zero opts out; full retention never engages the reservoir.
-  EvaluationConfig none = lean;
-  none.unit_reservoir_capacity = 0;
-  SrsSampler sampler_c(kg, SrsConfig{});
-  EvaluationSession c(sampler_c, annotator, none, 33);
-  ExpectSameResult(*c.Run(), result_a);
-  EXPECT_TRUE(c.sample().reservoir_units().empty());
-
-  EvaluationConfig full;
-  full.record_trace = lean.record_trace;
-  SrsSampler sampler_d(kg, SrsConfig{});
-  EvaluationSession d(sampler_d, annotator, full, 33);
-  (void)d.Run();
-  EXPECT_FALSE(d.sample().units().empty());
-  EXPECT_TRUE(d.sample().reservoir_units().empty());
 }
 
 TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {

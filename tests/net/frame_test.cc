@@ -4,6 +4,9 @@
 #include <random>
 #include <vector>
 
+#include "kgacc/net/protocol.h"
+#include "kgacc/util/codec.h"
+
 #include <gtest/gtest.h>
 
 // Wire-framing boundary and fuzz coverage, mirroring wal_test's torn-tail
@@ -281,6 +284,39 @@ TEST(NetFrameTest, InterleavedPartialFramesAcrossFeeds) {
   ASSERT_TRUE(have.ok());
   ASSERT_TRUE(*have);
   EXPECT_EQ(frame.type, 2);
+}
+
+TEST(NetFrameTest, ReportFrameWithCraftedTraceCountIsRejected) {
+  // A well-formed AuditReport frame under 100 bytes whose trace count
+  // claims 2^40 points must fail to decode, not make the client try to
+  // reserve them.
+  AuditReportMsg report;
+  report.store_hits = 1;
+  report.oracle_calls = 2;
+  report.checkpoints_written = 3;
+  report.store_retries = 4;
+  report.degraded = true;
+  report.degradation_note = "x";
+  const std::vector<uint8_t> valid = EncodeAuditReport(report);
+  // The empty trace's zero count precedes the four store counters, the
+  // degraded flag and the one-byte note with its length.
+  const size_t count_at = valid.size() - 8;
+  ASSERT_EQ(valid[count_at], 0);
+  ByteWriter crafted;
+  crafted.PutBytes(valid.data(), count_at);
+  crafted.PutVarint(uint64_t{1} << 40);
+  crafted.PutBytes(valid.data() + count_at + 1, valid.size() - count_at - 1);
+
+  FrameAssembler assembler;
+  assembler.Feed(EncodeNetFrame(
+      static_cast<uint8_t>(MessageType::kAuditReport), crafted.bytes()));
+  NetFrame frame;
+  auto have = assembler.Next(&frame);
+  ASSERT_TRUE(have.ok()) << have.status().ToString();
+  ASSERT_TRUE(*have);
+  EXPECT_LT(frame.payload.size(), 100u);
+  const auto decoded = DecodeAuditReport(frame.payload);
+  EXPECT_FALSE(decoded.ok());
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ TEST(AnnotatedSampleTest, AccumulatesUnits) {
                            .correct = 0});
   EXPECT_EQ(sample.num_triples(), 5u);
   EXPECT_EQ(sample.num_correct(), 2u);
-  EXPECT_EQ(sample.units().size(), 2u);
+  EXPECT_EQ(sample.num_units(), 2u);
 }
 
 TEST(AnnotatedSampleTest, MarkAnnotatedTracksDistinctTriples) {

@@ -2,8 +2,12 @@
 // state — RNG, each estimator-accumulator variant, the annotated sample,
 // the HPD warm carry, and each stateful sampler design — must restore to a
 // state that behaves *identically* going forward, not merely approximately.
+// Corrupt or crafted payloads must come back as a Status, never an abort.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,12 +15,14 @@
 #include "kgacc/eval/session.h"
 #include "kgacc/intervals/ahpd.h"
 #include "kgacc/kg/synthetic.h"
+#include "kgacc/net/protocol.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/sample.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/sampling/stratified.h"
 #include "kgacc/sampling/systematic.h"
 #include "kgacc/util/codec.h"
+#include "kgacc/util/flat_set.h"
 #include "kgacc/util/random.h"
 
 #include <gtest/gtest.h>
@@ -129,103 +135,32 @@ TEST(SnapshotTest, AccumulatorRejectsKindMismatch) {
   EXPECT_FALSE(cluster.LoadState(&r).ok());
 }
 
-TEST(SnapshotTest, AnnotatedSampleRoundTripsTotalsHistoryAndDistinctSets) {
-  for (const bool retain : {true, false}) {
-    Rng rng(retain ? 5u : 6u);
-    AnnotatedSample original;
-    original.set_retain_units(retain);
-    for (int i = 0; i < 300; ++i) {
-      const AnnotatedUnit unit = RandomUnit(&rng, 2);
-      for (uint32_t d = 0; d < unit.drawn; ++d) {
-        original.MarkAnnotated(TripleRef{unit.cluster, d});
-      }
-      original.Add(unit);
+TEST(SnapshotTest, AnnotatedSampleRoundTripsTotalsAndDistinctSets) {
+  Rng rng(5);
+  AnnotatedSample original;
+  for (int i = 0; i < 300; ++i) {
+    const AnnotatedUnit unit = RandomUnit(&rng, 2);
+    for (uint32_t d = 0; d < unit.drawn; ++d) {
+      original.MarkAnnotated(TripleRef{unit.cluster, d});
     }
-    ByteWriter w;
-    original.SaveState(&w);
-    AnnotatedSample restored;
-    ByteReader r(w.span());
-    ASSERT_TRUE(restored.LoadState(&r).ok());
-    EXPECT_TRUE(r.empty());
-    EXPECT_EQ(restored.retain_units(), retain);
-    EXPECT_EQ(restored.num_units(), original.num_units());
-    EXPECT_EQ(restored.num_triples(), original.num_triples());
-    EXPECT_EQ(restored.num_correct(), original.num_correct());
-    EXPECT_EQ(restored.num_distinct_entities(),
-              original.num_distinct_entities());
-    EXPECT_EQ(restored.num_distinct_triples(),
-              original.num_distinct_triples());
-    ASSERT_EQ(restored.units().size(), original.units().size());
-    for (size_t i = 0; i < original.units().size(); ++i) {
-      EXPECT_EQ(restored.units()[i].cluster, original.units()[i].cluster);
-      EXPECT_EQ(restored.units()[i].correct, original.units()[i].correct);
-    }
-    // Re-marking a known triple is recognized as a duplicate after restore.
-    Rng probe(retain ? 5u : 6u);
-    const AnnotatedUnit first = RandomUnit(&probe, 2);
-    EXPECT_FALSE(restored.MarkAnnotated(TripleRef{first.cluster, 0}));
+    original.Add(unit);
   }
-}
-
-TEST(SnapshotTest, ReservoirSubsampleRoundTripsAndContinuesDeterministic) {
-  // With retention off, the sample keeps a seeded Algorithm-R reservoir
-  // instead of the full unit history. Two requirements: identical streams
-  // and seeds give identical reservoirs, and a Save/LoadState round trip
-  // restores both the kept units and the replacement RNG mid-stream.
-  const auto compare = [](const AnnotatedSample& x, const AnnotatedSample& y) {
-    ASSERT_EQ(x.reservoir_units().size(), y.reservoir_units().size());
-    for (size_t i = 0; i < x.reservoir_units().size(); ++i) {
-      EXPECT_EQ(x.reservoir_units()[i].cluster, y.reservoir_units()[i].cluster);
-      EXPECT_EQ(x.reservoir_units()[i].cluster_population,
-                y.reservoir_units()[i].cluster_population);
-      EXPECT_EQ(x.reservoir_units()[i].stratum, y.reservoir_units()[i].stratum);
-      EXPECT_EQ(x.reservoir_units()[i].drawn, y.reservoir_units()[i].drawn);
-      EXPECT_EQ(x.reservoir_units()[i].correct, y.reservoir_units()[i].correct);
-    }
-  };
-  AnnotatedSample a, b;
-  a.set_retain_units(false);
-  b.set_retain_units(false);
-  a.EnableReservoir(32, 99);
-  b.EnableReservoir(32, 99);
-  Rng stream_a(4), stream_b(4);
-  for (int i = 0; i < 500; ++i) {
-    a.Add(RandomUnit(&stream_a, 2));
-    b.Add(RandomUnit(&stream_b, 2));
-  }
-  EXPECT_TRUE(a.units().empty());  // Full history stays dropped.
-  ASSERT_EQ(a.reservoir_units().size(), 32u);
-  compare(a, b);
-
   ByteWriter w;
-  a.SaveState(&w);
+  original.SaveState(&w);
   AnnotatedSample restored;
   ByteReader r(w.span());
   ASSERT_TRUE(restored.LoadState(&r).ok());
   EXPECT_TRUE(r.empty());
-  EXPECT_EQ(restored.reservoir_capacity(), 32u);
-  compare(a, restored);
-
-  // The replacement stream continues bit-exact after restore: same future
-  // units land in the same slots.
-  Rng future_a(9), future_b(9);
-  for (int i = 0; i < 200; ++i) {
-    a.Add(RandomUnit(&future_a, 2));
-    restored.Add(RandomUnit(&future_b, 2));
-  }
-  EXPECT_EQ(a.num_units(), restored.num_units());
-  compare(a, restored);
-}
-
-TEST(SnapshotTest, ReservoirKeepsEverythingUnderCapacity) {
-  AnnotatedSample sample;
-  sample.set_retain_units(false);
-  sample.EnableReservoir(64, 7);
-  Rng rng(11);
-  for (int i = 0; i < 20; ++i) sample.Add(RandomUnit(&rng, 2));
-  // Fewer units than slots: the reservoir IS the history, in arrival order.
-  EXPECT_EQ(sample.reservoir_units().size(), 20u);
-  EXPECT_EQ(sample.num_units(), 20u);
+  EXPECT_EQ(restored.num_units(), original.num_units());
+  EXPECT_EQ(restored.num_triples(), original.num_triples());
+  EXPECT_EQ(restored.num_correct(), original.num_correct());
+  EXPECT_EQ(restored.num_distinct_entities(),
+            original.num_distinct_entities());
+  EXPECT_EQ(restored.num_distinct_triples(), original.num_distinct_triples());
+  // Re-marking a known triple is recognized as a duplicate after restore.
+  Rng probe(5);
+  const AnnotatedUnit first = RandomUnit(&probe, 2);
+  EXPECT_FALSE(restored.MarkAnnotated(TripleRef{first.cluster, 0}));
 }
 
 TEST(SnapshotTest, AhpdWarmStateRoundTripsEveryField) {
@@ -328,10 +263,11 @@ TEST(SnapshotTest, StatelessClusterSamplersRoundTripTrivially) {
 }
 
 TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
-  // v2 inserted fields mid-payload (reservoir capacity + subsample) and v3
-  // slimmed the HPD warm carry; a payload stamped with another version
-  // must fail the explicit version gate up front, not misparse with every
-  // later field shifted.
+  // v2 inserted fields mid-payload (reservoir capacity + subsample), v3
+  // slimmed the HPD warm carry, and v4 dropped the unit history and its
+  // reservoir; a payload stamped with another version must fail the
+  // explicit version gate up front, not misparse with every later field
+  // shifted.
   const auto kg = TestKg();
   OracleAnnotator annotator;
   SrsSampler sampler(kg, SrsConfig{});
@@ -343,8 +279,8 @@ TEST(SnapshotTest, SessionSnapshotRejectsOtherFormatVersions) {
   std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
   ASSERT_FALSE(bytes.empty());
   // v1 is the pre-reservoir format; v2 carried the HPD warm cache keys and
-  // BFGS Hessian that v3 dropped.
-  for (const uint8_t old_version : {1, 2}) {
+  // BFGS Hessian that v3 dropped; v3 carried the unit history.
+  for (const uint8_t old_version : {1, 2, 3}) {
     bytes[0] = old_version;
     EvaluationSession same(sampler, annotator, config, 42);
     ByteReader r({bytes.data(), bytes.size()});
@@ -406,6 +342,195 @@ TEST(SnapshotTest, SessionSnapshotRejectsFingerprintMismatch) {
     EXPECT_TRUE(same.LoadState(&r).ok());
     EXPECT_TRUE(r.empty());
     EXPECT_EQ(same.iterations(), session.iterations());
+  }
+}
+
+// Without the trace, a session snapshot is a fixed set of fields plus the
+// two distinct-set payloads: nothing else may grow with the sample. Only
+// the varint totals (units, triples, correct, iterations) widen, by a byte
+// at a time.
+TEST(SnapshotTest, SessionSnapshotGrowsOnlyWithTheDistinctSets) {
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  ASSERT_FALSE(config.record_trace);
+  EvaluationSession session(sampler, annotator, config, 42);
+  const auto set_payload = [](uint64_t members) {
+    ByteWriter count;
+    count.PutVarint(members);
+    return count.size() + members * sizeof(uint64_t);
+  };
+  size_t smallest = SIZE_MAX, largest = 0;
+  int steps = 0;
+  while (!session.done()) {
+    ASSERT_TRUE(session.Step().ok());
+    ++steps;
+    ByteWriter w;
+    session.SaveState(&w);
+    const size_t sets =
+        set_payload(session.sample().num_distinct_entities()) +
+        set_payload(session.sample().num_distinct_triples());
+    ASSERT_GT(w.size(), sets);
+    smallest = std::min(smallest, w.size() - sets);
+    largest = std::max(largest, w.size() - sets);
+  }
+  EXPECT_GE(steps, 10);
+  EXPECT_LE(largest - smallest, 16u)
+      << "the snapshot outside its distinct sets grew over " << steps
+      << " steps";
+}
+
+constexpr uint64_t kCraftedCount = uint64_t{1} << 40;
+
+/// `bytes` with the one-byte zero count at `pos` replaced by a varint of
+/// 2^40: a few bytes that claim to hold a trillion elements.
+std::vector<uint8_t> WithCraftedCount(std::span<const uint8_t> bytes,
+                                      size_t pos) {
+  EXPECT_EQ(bytes[pos], 0) << "no zero count at offset " << pos;
+  ByteWriter count;
+  count.PutVarint(kCraftedCount);
+  std::vector<uint8_t> out(bytes.begin(), bytes.begin() + pos);
+  out.insert(out.end(), count.span().begin(), count.span().end());
+  out.insert(out.end(), bytes.begin() + pos + 1, bytes.end());
+  return out;
+}
+
+// Every decoder that sizes an allocation from a count in its input must
+// reject a count the remaining bytes cannot hold instead of allocating it.
+TEST(SnapshotTest, CraftedFlatSetCountIsRejected) {
+  ByteWriter w;
+  SaveFlatSet64(FlatSet64(), &w);  // The empty set is its zero count.
+  const std::vector<uint8_t> crafted = WithCraftedCount(w.span(), 0);
+  FlatSet64 set;
+  ByteReader r({crafted.data(), crafted.size()});
+  EXPECT_FALSE(LoadFlatSet64(&r, &set).ok());
+}
+
+TEST(SnapshotTest, CraftedAhpdWarmStateCountIsRejected) {
+  ByteWriter w;
+  SaveAhpdWarmState(AhpdWarmState{}, &w);  // Just the zero prior count.
+  const std::vector<uint8_t> crafted = WithCraftedCount(w.span(), 0);
+  AhpdWarmState state;
+  ByteReader r({crafted.data(), crafted.size()});
+  EXPECT_FALSE(LoadAhpdWarmState(&r, &state).ok());
+}
+
+TEST(SnapshotTest, CraftedAccumulatorStratumCountIsRejected) {
+  // A fresh stratified accumulator's payload ends with its stratum count.
+  EstimatorAccumulator original(EstimatorKind::kStratified);
+  ByteWriter w;
+  original.SaveState(&w);
+  const std::vector<uint8_t> crafted =
+      WithCraftedCount(w.span(), w.size() - 1);
+  EstimatorAccumulator restored(EstimatorKind::kStratified);
+  ByteReader r({crafted.data(), crafted.size()});
+  EXPECT_FALSE(restored.LoadState(&r).ok());
+}
+
+TEST(SnapshotTest, CraftedSessionTraceCountIsRejected) {
+  // Without record_trace the payload ends with a zero trace count, the
+  // done flag and the MoE double.
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  EvaluationSession session(sampler, annotator, config, 42);
+  ASSERT_TRUE(session.Step().ok());
+  ByteWriter w;
+  session.SaveState(&w);
+  const std::vector<uint8_t> crafted =
+      WithCraftedCount(w.span(), w.size() - 1 - 1 - 8);
+  EvaluationSession same(sampler, annotator, config, 42);
+  ByteReader r({crafted.data(), crafted.size()});
+  EXPECT_FALSE(same.LoadState(&r).ok());
+}
+
+/// Feeds `decode` seeded mutants of `valid`: every truncation, the byte at
+/// every offset replaced by a varint count of 2^7 to 2^63, and `flips`
+/// copies with one to four bits flipped. `decode` returns whether the
+/// mutant decoded; the count of rejected mutants is returned.
+template <typename Decode>
+int DecodeMutants(std::span<const uint8_t> valid, uint64_t seed, int flips,
+                  Decode decode) {
+  Rng rng(seed);
+  int rejected = 0;
+  const auto run = [&](const std::vector<uint8_t>& mutant) {
+    rejected += decode(std::span<const uint8_t>(mutant)) ? 0 : 1;
+  };
+  for (size_t len = 0; len < valid.size(); ++len) {
+    run(std::vector<uint8_t>(valid.begin(), valid.begin() + len));
+  }
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    ByteWriter count;
+    count.PutVarint(uint64_t{1} << (7 + rng.UniformInt(57)));
+    std::vector<uint8_t> mutant(valid.begin(), valid.begin() + pos);
+    mutant.insert(mutant.end(), count.span().begin(), count.span().end());
+    mutant.insert(mutant.end(), valid.begin() + pos + 1, valid.end());
+    run(mutant);
+  }
+  for (int i = 0; i < flips; ++i) {
+    std::vector<uint8_t> mutant(valid.begin(), valid.end());
+    const int bits = 1 + static_cast<int>(rng.UniformInt(4));
+    for (int b = 0; b < bits; ++b) {
+      const uint64_t bit = rng.UniformInt(mutant.size() * 8);
+      mutant[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    run(mutant);
+  }
+  return rejected;
+}
+
+// Seeded, bounded mutation loop over two decoders of untrusted bytes: the
+// AuditReport frame a client reads off the wire and the session snapshot a
+// resume reads back from the WAL. Every mutant must come back as a Status,
+// never an abort; the sanitizer builds turn any overflow or UB into a
+// failure too.
+TEST(DecoderMutationTest, ReportsAndSessionSnapshotsAlwaysReturnAStatus) {
+  AuditReportMsg report;
+  report.audit_id = 77;
+  report.design_name = "TWCS";
+  report.dataset_name = "demo";
+  report.result.mu = 0.87;
+  report.result.interval = {0.83, 0.91};
+  report.result.annotated_triples = 180;
+  report.result.iterations = 4;
+  report.result.degradation_note = "store read-only";
+  for (uint64_t n = 30; n <= 120; n += 30) {
+    report.result.trace.push_back(TracePoint{n, 0.3 / double(n), 0.87});
+  }
+  report.store_hits = 12;
+  const std::vector<uint8_t> wire = EncodeAuditReport(report);
+  ASSERT_TRUE(DecodeAuditReport(wire).ok());
+  const int bad_reports = DecodeMutants(
+      wire, 1, 3000, [](std::span<const uint8_t> bytes) {
+        return DecodeAuditReport(bytes).ok();
+      });
+  EXPECT_GT(bad_reports, 0);
+
+  // Two sessions that together reach every counted field of the snapshot:
+  // SRS without replacement (sampler flat set) with the trace on, and the
+  // stratified design (accumulator strata, sampler carry).
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler srs(kg, SrsConfig{.batch_size = 10, .without_replacement = true});
+  StratifiedSampler ssrs(kg, StratifiedConfig{.batch_size = 10});
+  EvaluationConfig config;
+  config.record_trace = true;
+  for (Sampler* sampler : {static_cast<Sampler*>(&srs),
+                           static_cast<Sampler*>(&ssrs)}) {
+    SCOPED_TRACE(sampler->name());
+    EvaluationSession session(*sampler, annotator, config, 42);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(session.Step().ok());
+    ByteWriter w;
+    session.SaveState(&w);
+    const auto load = [&](std::span<const uint8_t> bytes) {
+      EvaluationSession target(*sampler, annotator, config, 42);
+      ByteReader r(bytes);
+      return target.LoadState(&r).ok();
+    };
+    ASSERT_TRUE(load(w.span()));
+    EXPECT_GT(DecodeMutants(w.span(), 2, 3000, load), 0);
   }
 }
 

@@ -35,8 +35,7 @@
 //   kgacc_audit --kg=facts.tsv --annotator=human --json
 //   kgacc_audit --kg=facts.tsv --store=audit.wal            # durable
 //   kgacc_audit --kg=facts.tsv --store=audit.wal --resume   # after a crash
-//   kgacc_audit --kg=facts.tsv --store=audit.wal \
-//       --failpoints=store.append=every:5                   # chaos
+//   kgacc_audit --kg=facts.tsv --store=audit.wal --failpoints=store.append=every:5
 
 #include <csignal>
 #include <cstdio>
