@@ -1,8 +1,11 @@
 #include "kgacc/store/annotation_store.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "kgacc/store/log_format.h"
 #include "kgacc/util/codec.h"
@@ -30,8 +33,10 @@ const AnnotationStore::Shard& AnnotationStore::ShardFor(uint64_t key) const {
 Status AnnotationStore::Replay(uint8_t type,
                                std::span<const uint8_t> payload) {
   // Open-time only: single-threaded, so the shard locks are not taken. The
-  // byte accounting mirrors what the live append path records.
+  // byte accounting mirrors what the live append path records, and a
+  // frame starts where the bytes replayed so far end.
   const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(payload.size());
+  const uint64_t frame_offset = walfmt::kMagicSize + file_bytes_;
   file_bytes_ += frame_bytes;
   ByteReader reader(payload);
   switch (type) {
@@ -56,20 +61,9 @@ Status AnnotationStore::Replay(uint8_t type,
     }
     case walfmt::kCheckpointFrame: {
       KGACC_ASSIGN_OR_RETURN(const uint64_t audit_id, reader.Varint());
-      KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> snapshot,
-                             reader.LengthPrefixed());
-      std::vector<uint8_t> copy(snapshot.begin(), snapshot.end());
+      KGACC_RETURN_IF_ERROR(reader.LengthPrefixed().status());
       ++stats_.checkpoints_replayed;
-      for (CheckpointEntry& entry : checkpoints_) {
-        if (entry.audit_id == audit_id) {
-          garbage_bytes_ += entry.frame_bytes;  // The old frame is dead.
-          entry.snapshot = std::move(copy);
-          entry.frame_bytes = frame_bytes;
-          replay_crc_.Extend(payload);
-          return Status::OK();
-        }
-      }
-      checkpoints_.push_back({audit_id, std::move(copy), frame_bytes});
+      SetCheckpoint(audit_id, {frame_offset, frame_bytes});
       break;
     }
     case walfmt::kTenantLedgerFrame: {
@@ -157,10 +151,17 @@ Result<std::unique_ptr<AnnotationStore>> AnnotationStore::Open(
           &store->stats_.recovery));
   // The header is counted from the recovered size, not per-frame replay.
   store->file_bytes_ = store->log_->size_bytes();
+  store->read_fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (store->read_fd_ < 0) {
+    return Status::IoError("cannot open store log for reading '" + path +
+                           "': " + std::strerror(errno));
+  }
   return store;
 }
 
-AnnotationStore::~AnnotationStore() = default;
+AnnotationStore::~AnnotationStore() {
+  if (read_fd_ >= 0) ::close(read_fd_);
+}
 
 std::optional<bool> AnnotationStore::Lookup(uint64_t cluster,
                                             uint64_t offset) const {
@@ -173,8 +174,7 @@ std::optional<bool> AnnotationStore::Lookup(uint64_t cluster,
 
 Status AnnotationStore::CommitFrame(uint8_t type,
                                     std::span<const uint8_t> payload,
-                                    bool sync,
-                                    const std::function<void()>& apply) {
+                                    bool sync, const ApplyFn& apply) {
   Commit req;
   req.type = type;
   req.payload = payload;
@@ -201,6 +201,7 @@ Status AnnotationStore::CommitFrame(uint8_t type,
     // enqueueing meanwhile; the next leader picks them up.
     bool want_sync = false;
     for (Commit* c : batch) {
+      c->frame_offset = log_->size_bytes();
       c->status = log_->AppendFrame(c->type, c->payload);
       if (c->status.ok() && c->sync) want_sync = true;
     }
@@ -234,7 +235,9 @@ Status AnnotationStore::CommitFrame(uint8_t type,
       // An unflushed frame is not durable: a failed settle fails every
       // member whose write "succeeded" into the stdio buffer.
       if (c->status.ok() && !settle.ok()) c->status = settle;
-      if (c->status.ok() && c->apply != nullptr && *c->apply) (*c->apply)();
+      if (c->status.ok() && c->apply != nullptr && *c->apply) {
+        (*c->apply)(c->frame_offset);
+      }
       c->done = true;
     }
     leader_active_ = false;
@@ -277,7 +280,8 @@ Status AnnotationStore::Append(uint64_t audit_id, uint64_t cluster,
   const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
   Status conflict;
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::kAnnotationFrame, record.span(), options_.sync_appends, [&] {
+      walfmt::kAnnotationFrame, record.span(), options_.sync_appends,
+      [&](uint64_t) {
         file_bytes_ += frame_bytes;
         std::lock_guard<std::mutex> lock(shard.mu);
         if (shard.labeled.insert(key)) {
@@ -319,19 +323,10 @@ Status AnnotationStore::AppendCheckpoint(uint64_t audit_id,
   const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
       walfmt::kCheckpointFrame, record.span(), options_.sync_checkpoints,
-      [&] {
+      [&](uint64_t frame_offset) {
         file_bytes_ += frame_bytes;
-        std::vector<uint8_t> copy(snapshot.begin(), snapshot.end());
         std::lock_guard<std::mutex> lock(checkpoints_mu_);
-        for (CheckpointEntry& entry : checkpoints_) {
-          if (entry.audit_id == audit_id) {
-            garbage_bytes_ += entry.frame_bytes;  // Superseded frame.
-            entry.snapshot = std::move(copy);
-            entry.frame_bytes = frame_bytes;
-            return;
-          }
-        }
-        checkpoints_.push_back({audit_id, std::move(copy), frame_bytes});
+        SetCheckpoint(audit_id, {frame_offset, frame_bytes});
       }));
   if (appended_bytes != nullptr) *appended_bytes = frame_bytes;
   MaybeAutoCompact();
@@ -369,7 +364,8 @@ Status AnnotationStore::AppendTenantSpend(const std::string& tenant,
   record.PutVarint(bytes_total);
   const uint64_t frame_bytes = walfmt::FrameBytesOnDisk(record.size());
   KGACC_RETURN_IF_ERROR(CommitFrame(
-      walfmt::kTenantLedgerFrame, record.span(), options_.sync_appends, [&] {
+      walfmt::kTenantLedgerFrame, record.span(), options_.sync_appends,
+      [&](uint64_t) {
         file_bytes_ += frame_bytes;
         std::lock_guard<std::mutex> lock(ledgers_mu_);
         for (LedgerEntry& entry : ledgers_) {
@@ -410,16 +406,81 @@ std::optional<TenantBalance> AnnotationStore::TenantBalanceFor(
   return std::nullopt;
 }
 
-std::optional<std::vector<uint8_t>> AnnotationStore::LatestCheckpoint(
-    uint64_t audit_id) const {
-  // Copied out under the lock: any audit's first AppendCheckpoint can grow
-  // `checkpoints_` and reallocate, so a pointer into an entry is unsafe to
-  // hand across the lock boundary.
-  std::lock_guard<std::mutex> lock(checkpoints_mu_);
-  for (const CheckpointEntry& entry : checkpoints_) {
-    if (entry.audit_id == audit_id) return entry.snapshot;
+void AnnotationStore::SetCheckpoint(uint64_t audit_id,
+                                    const CheckpointEntry& entry) {
+  const auto [it, inserted] = checkpoints_.try_emplace(audit_id, entry);
+  if (!inserted) {
+    garbage_bytes_ += it->second.frame_bytes;  // Superseded frame.
+    it->second = entry;
   }
-  return std::nullopt;
+}
+
+Result<std::span<const uint8_t>> AnnotationStore::ReadCheckpointFrame(
+    uint64_t audit_id, const CheckpointEntry& entry,
+    std::vector<uint8_t>* frame, std::span<const uint8_t>* payload) const {
+  const auto corrupt = [&](const std::string& what) {
+    return Status::IoError("annotation store: checkpoint of audit " +
+                           std::to_string(audit_id) + " at offset " +
+                           std::to_string(entry.frame_offset) + " in '" +
+                           path_ + "' " + what);
+  };
+  frame->resize(entry.frame_bytes);
+  size_t got = 0;
+  while (got < frame->size()) {
+    const ssize_t n =
+        ::pread(read_fd_, frame->data() + got, frame->size() - got,
+                static_cast<off_t>(entry.frame_offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return corrupt(std::string("cannot be read: ") +
+                              std::strerror(errno));
+    if (n == 0) return corrupt("is truncated");
+    got += static_cast<size_t>(n);
+  }
+  // The same checks replay makes: type, a length that fills the frame
+  // exactly, the CRC over type + length + payload, then the payload itself.
+  ByteReader reader(*frame);
+  const Result<uint8_t> type = reader.U8();
+  const Result<uint64_t> len = reader.Varint();
+  if (!type.ok() || *type != walfmt::kCheckpointFrame || !len.ok() ||
+      reader.remaining() < 4 || reader.remaining() - 4 != *len) {
+    return corrupt("is not a checkpoint frame");
+  }
+  const std::span<const uint8_t> body = reader.Bytes(*len).value();
+  const uint32_t stored_crc = reader.Fixed32().value();
+  if (Crc32c(frame->data(), frame->size() - 4) != stored_crc) {
+    return corrupt("fails its CRC");
+  }
+  ByteReader fields(body);
+  const Result<uint64_t> id = fields.Varint();
+  if (!id.ok() || *id != audit_id) return corrupt("belongs to another audit");
+  const Result<std::span<const uint8_t>> snapshot = fields.LengthPrefixed();
+  if (!snapshot.ok() || !fields.empty()) return corrupt("does not decode");
+  if (payload != nullptr) *payload = body;
+  return *snapshot;
+}
+
+bool AnnotationStore::HasCheckpoint(uint64_t audit_id) const {
+  std::lock_guard<std::mutex> lock(checkpoints_mu_);
+  return checkpoints_.contains(audit_id);
+}
+
+Result<std::optional<std::vector<uint8_t>>> AnnotationStore::LatestCheckpoint(
+    uint64_t audit_id) const {
+  std::vector<uint8_t> frame;
+  std::span<const uint8_t> snapshot;
+  {
+    // The read runs under the lock: a compaction swaps `read_fd_` and every
+    // offset at once, so the pair this read uses always agree.
+    std::lock_guard<std::mutex> lock(checkpoints_mu_);
+    const auto it = checkpoints_.find(audit_id);
+    if (it == checkpoints_.end()) {
+      return std::optional<std::vector<uint8_t>>();  // Fresh start.
+    }
+    KGACC_ASSIGN_OR_RETURN(snapshot,
+                           ReadCheckpointFrame(audit_id, it->second, &frame));
+  }
+  return std::optional<std::vector<uint8_t>>(std::in_place, snapshot.begin(),
+                                             snapshot.end());
 }
 
 double AnnotationStore::GarbageRatioLocked() const {
@@ -477,7 +538,7 @@ void AnnotationStore::MaybeAutoCompact() {
     std::lock_guard<std::mutex> lock(commit_mu_);
     ++compaction_stats_.auto_compactions;
   }
-  (void)Compact();
+  Compact().IgnoreError();
 }
 
 std::unique_lock<std::mutex> AnnotationStore::LockIdleLog() const {

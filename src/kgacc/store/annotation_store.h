@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,7 +71,17 @@
 ///
 /// **mmap'd replay (fast resumes).** `Open` maps the log through
 /// `LogReader` and rebuilds the index from the mapping, falling back to a
-/// streaming read where mmap fails (`stats().recovery.used_mmap`).
+/// streaming read where mmap fails (`stats().recovery.used_mmap`). The scan
+/// releases the pages behind it, so replay holds a window of the log in
+/// memory, not the file.
+///
+/// **Checkpoints stay on disk (bounded residency).** The registry maps an
+/// audit id to where its latest checkpoint frame sits in the log — an
+/// offset and a size, no bytes — in the manner of Bitcask's keydir. A read
+/// `pread`s that frame through a read-only descriptor and checks its CRC,
+/// so the store's memory does not grow with the number of audits it has
+/// checkpointed. Compaction likewise streams its rewrite through a bounded
+/// buffer.
 ///
 /// Fault-injection sites (chaos tests): `store.append` fails an annotation
 /// append and `store.checkpoint` a checkpoint append, both *before* the WAL
@@ -146,8 +157,9 @@ struct TenantBalance {
 /// probe a lock-striped shard, appends serialize through the group-commit
 /// queue, so concurrent `EvaluationService` jobs may share one store within
 /// a batch. Checkpoint frames are keyed by audit id; concurrent audits must
-/// use distinct ids (`LatestCheckpoint` hands back a copy, so it is safe
-/// against any concurrent checkpoint append, same audit or not).
+/// use distinct ids (`LatestCheckpoint` reads the frame from the log and
+/// hands back its own copy, so it is safe against any concurrent
+/// checkpoint append or compaction, same audit or not).
 class AnnotationStore {
  public:
   struct Options {
@@ -169,7 +181,8 @@ class AnnotationStore {
   };
 
   /// Opens (creating if absent) the store at `path`, replaying the log into
-  /// the in-memory index and retaining the latest checkpoint per audit id.
+  /// the in-memory index and recording where the latest checkpoint per
+  /// audit id sits in the log.
   /// Torn or corrupt tails are truncated per WAL semantics; a frame of
   /// unknown type is rejected (the store owns its log exclusively). A stale
   /// `.compact` temp file from a compaction the process died inside is
@@ -220,12 +233,18 @@ class AnnotationStore {
   /// The current balance for one tenant; nullopt when it never spent.
   std::optional<TenantBalance> TenantBalanceFor(const std::string& tenant) const;
 
-  /// The latest replayed-or-appended checkpoint for `audit_id`; nullopt
-  /// when the audit never checkpointed (fresh start). Returned by value —
-  /// a copy taken under the checkpoint lock — so it stays valid whatever
-  /// concurrent audits append (a pointer into the registry would dangle
-  /// the moment another audit's first checkpoint grew the vector).
-  std::optional<std::vector<uint8_t>> LatestCheckpoint(uint64_t audit_id) const;
+  /// True when `audit_id` has a replayed or appended checkpoint. Reads
+  /// nothing from the log.
+  bool HasCheckpoint(uint64_t audit_id) const;
+
+  /// The latest replayed-or-appended checkpoint for `audit_id`, read from
+  /// the log: nullopt when the audit never checkpointed (fresh start), an
+  /// IoError when its frame cannot be read back intact (a failed read, a
+  /// CRC mismatch, a frame of another type or audit). A caller must treat
+  /// the error as "cannot resume", never as a fresh start. Returned by
+  /// value, so it stays valid whatever concurrent audits append.
+  Result<std::optional<std::vector<uint8_t>>> LatestCheckpoint(
+      uint64_t audit_id) const;
 
   /// Rewrites the live label set plus the latest checkpoint per audit into
   /// a fresh log and atomically installs it (see the file comment). On
@@ -282,10 +301,12 @@ class AnnotationStore {
     FlatSet64 correct;
   };
 
+  /// Where one audit's latest checkpoint frame lives in the live log. The
+  /// snapshot itself stays on disk.
   struct CheckpointEntry {
-    uint64_t audit_id = 0;
-    std::vector<uint8_t> snapshot;
-    /// On-disk size of the frame currently holding this checkpoint, so a
+    /// File offset of the frame's type byte.
+    uint64_t frame_offset = 0;
+    /// On-disk size of the frame, so a read knows how much to fetch and a
     /// replacement knows how many bytes it turned into garbage.
     uint64_t frame_bytes = 0;
   };
@@ -297,6 +318,10 @@ class AnnotationStore {
     uint64_t frame_bytes = 0;
   };
 
+  /// The index/accounting update a committed frame applies; it receives
+  /// the file offset the frame was written at.
+  using ApplyFn = std::function<void(uint64_t frame_offset)>;
+
   /// One queued WAL write: the requester blocks until a commit leader
   /// settles it and reports the per-frame status. The leader also runs
   /// `apply` (the requester's index/accounting update) under the commit
@@ -307,7 +332,9 @@ class AnnotationStore {
     uint8_t type = 0;
     std::span<const uint8_t> payload;
     bool sync = false;
-    const std::function<void()>* apply = nullptr;
+    const ApplyFn* apply = nullptr;
+    /// Where the leader wrote the frame (the log size just before it).
+    uint64_t frame_offset = 0;
     Status status;
     bool done = false;
   };
@@ -328,7 +355,21 @@ class AnnotationStore {
   /// takes the same lock) always observes index and accounting in step
   /// with the log.
   Status CommitFrame(uint8_t type, std::span<const uint8_t> payload,
-                     bool sync, const std::function<void()>& apply);
+                     bool sync, const ApplyFn& apply);
+
+  /// Points `audit_id` at a new checkpoint frame, counting the frame it
+  /// replaces as garbage. Caller holds `checkpoints_mu_` (or is replay).
+  void SetCheckpoint(uint64_t audit_id, const CheckpointEntry& entry);
+
+  /// Reads `entry`'s frame for `audit_id` from the log through `read_fd_`
+  /// into `frame` and checks it: the type, the CRC, the audit id, and a
+  /// payload that decodes. Returns the snapshot (a span into `frame`) and,
+  /// when `payload` is non-null, the frame's payload span. Any defect is an
+  /// IoError.
+  Result<std::span<const uint8_t>> ReadCheckpointFrame(
+      uint64_t audit_id, const CheckpointEntry& entry,
+      std::vector<uint8_t>* frame,
+      std::span<const uint8_t>* payload = nullptr) const;
 
   /// Locks `commit_mu_` once no group-commit leader is writing the log.
   std::unique_lock<std::mutex> LockIdleLog() const;
@@ -345,10 +386,13 @@ class AnnotationStore {
   std::array<Shard, kNumShards> shards_;
   std::atomic<uint64_t> next_seq_{0};
 
-  /// Latest checkpoint per audit id (a handful of audits per store; linear
-  /// scan beats a map). Guarded by `checkpoints_mu_`.
+  /// Latest checkpoint frame per audit id, and a read-only descriptor on
+  /// the live log to read those frames through. Both change together,
+  /// under `checkpoints_mu_` (a compaction installs new offsets and the
+  /// new file's descriptor at once); mutations also hold `commit_mu_`.
   mutable std::mutex checkpoints_mu_;
-  std::vector<CheckpointEntry> checkpoints_;
+  std::unordered_map<uint64_t, CheckpointEntry> checkpoints_;
+  int read_fd_ = -1;
 
   /// Latest cumulative balance per tenant (same shape as the checkpoint
   /// registry: a handful of tenants per store, linear scan). Guarded by

@@ -45,14 +45,15 @@ Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
 }
 
 bool CheckpointManager::CanResume() const {
-  return store_->LatestCheckpoint(audit_id_).has_value();
+  return store_->HasCheckpoint(audit_id_);
 }
 
 Status CheckpointManager::Resume(EvaluationSession* session) const {
   // The snapshot arrives by value: other audits on a shared store (daemon
   // worker threads) may append their own checkpoints while this one loads.
-  const std::optional<std::vector<uint8_t>> snapshot =
-      store_->LatestCheckpoint(audit_id_);
+  // An unreadable checkpoint fails the resume; it is never a fresh start.
+  KGACC_ASSIGN_OR_RETURN(const std::optional<std::vector<uint8_t>> snapshot,
+                         store_->LatestCheckpoint(audit_id_));
   if (!snapshot.has_value()) {
     return Status::FailedPrecondition(
         "no checkpoint stored for this audit id");

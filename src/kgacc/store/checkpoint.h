@@ -60,12 +60,14 @@ class CheckpointManager {
   /// Unconditionally snapshots the session now.
   Status Checkpoint(const EvaluationSession& session);
 
-  /// True when the store holds a checkpoint for this audit id.
+  /// True when the store holds a checkpoint for this audit id (whether it
+  /// reads back intact is `Resume`'s to find out).
   bool CanResume() const;
 
   /// Restores the stored checkpoint into `session` (constructed over the
   /// same design, configuration, and seed — the snapshot fingerprint is
-  /// verified). FailedPrecondition when there is nothing to resume from.
+  /// verified). FailedPrecondition when there is nothing to resume from;
+  /// IoError when the checkpoint cannot be read back intact.
   Status Resume(EvaluationSession* session) const;
 
   uint64_t audit_id() const { return audit_id_; }

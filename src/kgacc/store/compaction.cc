@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "kgacc/store/annotation_store.h"
@@ -25,11 +27,12 @@
 ///   1. quiesce   — take the commit lock and wait out the group-commit
 ///                  queue, so the index, checkpoints, and byte accounting
 ///                  are exactly in step with the log;
-///   2. rewrite   — emit magic + every live annotation record (key-sorted,
-///                  deterministic) + the latest checkpoint per audit id
-///                  (id-sorted) + a trailer frame sealing counts, the
+///   2. rewrite   — stream magic + every live annotation record
+///                  (key-sorted, deterministic) + the latest checkpoint
+///                  frame per audit id (id-sorted, copied from the old log
+///                  after a CRC check) + a trailer frame sealing counts, the
 ///                  carried next_seq, and a chained CRC over every payload,
-///                  into `<path>.compact`;
+///                  into `<path>.compact` through a bounded buffer;
 ///   3. sync      — fsync the temp file (a rename may not reorder ahead of
 ///                  the data it installs);
 ///   4. rename    — atomically install the rewrite over the live path;
@@ -38,8 +41,9 @@
 ///                  a crash may otherwise resurrect the old directory entry
 ///                  — the pre-compaction log — under a store that already
 ///                  acknowledged the rewrite);
-///   6. swap      — close the old (now anonymous) file and reopen the WAL
-///                  handle over the installed log.
+///   6. swap      — close the old (now anonymous) file, reopen the WAL
+///                  handle over the installed log, and move the checkpoint
+///                  read descriptor and offsets onto it together.
 ///
 /// A crash or injected failure in phases 1-4 leaves the old log installed
 /// and untouched (the stale temp is deleted at the next `Open`); from phase
@@ -62,6 +66,23 @@ Status IoError(const std::string& what, const std::string& path) {
 constexpr uint64_t KeyCluster(uint64_t key) { return key >> 24; }
 constexpr uint64_t KeyOffset(uint64_t key) {
   return key & ((uint64_t{1} << 24) - 1);
+}
+
+/// Bytes the rewrite buffers before each write to the temp file: what a
+/// compaction holds in memory, however large the live set is.
+constexpr size_t kRewriteBufferBytes = size_t{1} << 20;
+
+Status WriteAll(int fd, std::span<const uint8_t> bytes,
+                const std::string& path) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return IoError("cannot write compaction temp", path);
+    written += static_cast<size_t>(n);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -100,16 +121,12 @@ Status AnnotationStore::Compact() {
             });
 
   // Checkpoints are stable here (mutations run under commit_mu_): collect
-  // the latest per audit, id-sorted.
-  std::vector<const CheckpointEntry*> live_checkpoints;
-  live_checkpoints.reserve(checkpoints_.size());
-  for (const CheckpointEntry& entry : checkpoints_) {
-    live_checkpoints.push_back(&entry);
-  }
+  // the latest frame per audit, id-sorted. Each entry's offset is moved to
+  // its place in the rewrite as the frame is copied.
+  std::vector<std::pair<uint64_t, CheckpointEntry>> live_checkpoints(
+      checkpoints_.begin(), checkpoints_.end());
   std::sort(live_checkpoints.begin(), live_checkpoints.end(),
-            [](const CheckpointEntry* a, const CheckpointEntry* b) {
-              return a->audit_id < b->audit_id;
-            });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   // Tenant ledgers likewise: one live cumulative frame per tenant,
   // id-sorted for a deterministic rewrite. Stable under commit_mu_ for the
@@ -125,54 +142,75 @@ Status AnnotationStore::Compact() {
               return a->balance.tenant < b->balance.tenant;
             });
 
-  // Phase 2: build the rewrite. Records carry audit id 0 (the rewrite owns
-  // them) and fresh dense seqs; the pre-compaction next_seq travels in the
-  // trailer so sequence numbers stay monotone across the swap.
   const uint64_t bytes_before = file_bytes_;
   const uint64_t carried_next_seq = next_seq_.load(std::memory_order_relaxed);
-  ByteWriter out;
-  out.PutBytes(walfmt::kMagic, walfmt::kMagicSize);
-  Crc32cChain chain;
-  ByteWriter payload;
-  uint64_t seq = 0;
-  for (const LiveRecord& record : live) {
-    payload.Clear();
-    payload.PutVarint(0);
-    payload.PutVarint(seq++);
-    payload.PutVarint(KeyCluster(record.key));
-    payload.PutVarint(KeyOffset(record.key));
-    payload.PutBool(record.label);
-    chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kAnnotationFrame, payload.span());
-  }
-  for (const CheckpointEntry* entry : live_checkpoints) {
-    payload.Clear();
-    payload.PutVarint(entry->audit_id);
-    payload.PutLengthPrefixed(
-        {entry->snapshot.data(), entry->snapshot.size()});
-    chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kCheckpointFrame, payload.span());
-  }
-  for (const LedgerEntry* entry : live_ledgers) {
-    payload.Clear();
-    payload.PutString(entry->balance.tenant);
-    payload.PutVarint(entry->balance.oracle_spent);
-    payload.PutVarint(entry->balance.store_bytes);
-    chain.Extend(payload.span());
-    walfmt::AppendFrame(&out, walfmt::kTenantLedgerFrame, payload.span());
-  }
-  payload.Clear();
-  payload.PutVarint(2);  // Trailer version (2 = tenant-ledger count added).
-  payload.PutVarint(live.size());
-  payload.PutVarint(live_checkpoints.size());
-  payload.PutVarint(live_ledgers.size());
-  payload.PutVarint(carried_next_seq);
-  payload.PutFixed32(chain.value());
-  walfmt::AppendFrame(&out, walfmt::kCompactionTrailerFrame, payload.span());
-
-  // Phases 2b-3: write and fsync the temp file. Any failure here deletes
-  // the temp and leaves the old log the undisturbed source of truth.
   const std::string tmp = path_ + ".compact";
+
+  // Phase 2: stream the rewrite into `fd`. Records carry audit id 0 (the
+  // rewrite owns them) and fresh dense seqs; the pre-compaction next_seq
+  // travels in the trailer so sequence numbers stay monotone across the
+  // swap. Frames collect in `out` and spill to the file every
+  // kRewriteBufferBytes.
+  const auto rewrite = [&](int fd) -> Status {
+    ByteWriter out;
+    uint64_t spilled = 0;
+    const auto spill = [&](size_t threshold) -> Status {
+      if (out.size() < threshold) return Status::OK();
+      KGACC_RETURN_IF_ERROR(WriteAll(fd, out.span(), tmp));
+      spilled += out.size();
+      out.Clear();
+      return Status::OK();
+    };
+    out.PutBytes(walfmt::kMagic, walfmt::kMagicSize);
+    Crc32cChain chain;
+    ByteWriter payload;
+    uint64_t seq = 0;
+    for (const LiveRecord& record : live) {
+      payload.Clear();
+      payload.PutVarint(0);
+      payload.PutVarint(seq++);
+      payload.PutVarint(KeyCluster(record.key));
+      payload.PutVarint(KeyOffset(record.key));
+      payload.PutBool(record.label);
+      chain.Extend(payload.span());
+      walfmt::AppendFrame(&out, walfmt::kAnnotationFrame, payload.span());
+      KGACC_RETURN_IF_ERROR(spill(kRewriteBufferBytes));
+    }
+    // A checkpoint frame is copied as it sits in the old log — the same
+    // bytes re-encoding its snapshot would produce — once it reads back
+    // intact.
+    std::vector<uint8_t> frame;
+    for (auto& [audit_id, entry] : live_checkpoints) {
+      std::span<const uint8_t> frame_payload;
+      KGACC_RETURN_IF_ERROR(
+          ReadCheckpointFrame(audit_id, entry, &frame, &frame_payload)
+              .status());
+      chain.Extend(frame_payload);
+      entry.frame_offset = spilled + out.size();
+      out.PutBytes(frame.data(), frame.size());
+      KGACC_RETURN_IF_ERROR(spill(kRewriteBufferBytes));
+    }
+    for (const LedgerEntry* entry : live_ledgers) {
+      payload.Clear();
+      payload.PutString(entry->balance.tenant);
+      payload.PutVarint(entry->balance.oracle_spent);
+      payload.PutVarint(entry->balance.store_bytes);
+      chain.Extend(payload.span());
+      walfmt::AppendFrame(&out, walfmt::kTenantLedgerFrame, payload.span());
+    }
+    payload.Clear();
+    payload.PutVarint(2);  // Trailer version (2 = tenant-ledger count added).
+    payload.PutVarint(live.size());
+    payload.PutVarint(live_checkpoints.size());
+    payload.PutVarint(live_ledgers.size());
+    payload.PutVarint(carried_next_seq);
+    payload.PutFixed32(chain.value());
+    walfmt::AppendFrame(&out, walfmt::kCompactionTrailerFrame, payload.span());
+    return spill(0);
+  };
+
+  // Phases 2-3: write and fsync the temp file. Any failure here deletes
+  // the temp and leaves the old log the undisturbed source of truth.
   ::unlink(tmp.c_str());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IoError("cannot create compaction temp", tmp);
@@ -181,16 +219,7 @@ Status AnnotationStore::Compact() {
     phase = Status::IoError(
         "injected compaction write failure (failpoint store.compact.write)");
   } else {
-    size_t written = 0;
-    while (written < out.size()) {
-      const ssize_t n = ::write(fd, out.bytes().data() + written,
-                                out.size() - written);
-      if (n < 0) {
-        phase = IoError("cannot write compaction temp", tmp);
-        break;
-      }
-      written += static_cast<size_t>(n);
-    }
+    phase = rewrite(fd);
   }
   if (phase.ok()) {
     if (FailpointHit("store.compact.sync")) {
@@ -236,15 +265,30 @@ Status AnnotationStore::Compact() {
   log_.reset();
   Result<std::unique_ptr<WriteAheadLog>> reopened =
       WriteAheadLog::Open(path_, nullptr);
-  if (!reopened.ok()) {
+  const int read_fd =
+      reopened.ok() ? ::open(path_.c_str(), O_RDONLY | O_CLOEXEC) : -1;
+  if (read_fd < 0) {
     // Should-not-happen (fd exhaustion class): the store has no log to
     // append to. Refuse every later write instead of losing labels.
+    // Checkpoint reads keep the old descriptor and offsets, which still
+    // agree with each other.
+    const Status cause =
+        reopened.ok() ? IoError("cannot open for reading", path_)
+                      : reopened.status();
     log_lost_ = Status::IoError(
         "compaction installed a new log but could not reopen it: " +
-        reopened.status().ToString());
+        cause.ToString());
     return log_lost_;
   }
   log_ = std::move(*reopened);
+  {
+    std::lock_guard<std::mutex> checkpoints_lock(checkpoints_mu_);
+    ::close(read_fd_);
+    read_fd_ = read_fd;
+    for (const auto& [audit_id, entry] : live_checkpoints) {
+      checkpoints_[audit_id] = entry;
+    }
+  }
   file_bytes_ = log_->size_bytes();
   garbage_bytes_ = 0;
   ++compaction_stats_.compactions;

@@ -8,9 +8,9 @@
 
 /// \file log_format.h
 /// The one definition of the store's on-disk frame format, shared by the
-/// live appender (`WriteAheadLog`), the compaction rewriter (which builds a
-/// whole replacement log outside the WAL object), and the offline verifier
-/// (`kgacc_store verify`). A log file is:
+/// live appender (`WriteAheadLog`), the compaction rewriter (which streams
+/// a replacement log through a bounded buffer outside the WAL object), and
+/// the offline verifier (`kgacc_store verify`). A log file is:
 ///
 ///   [8-byte magic "kgacWAL1"]
 ///   frame*   where frame = [type u8][payload_len varint][payload][crc32c]

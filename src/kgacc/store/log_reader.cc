@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -62,6 +63,14 @@ Result<LogReader> LogReader::Open(int fd, const std::string& path) {
 }
 
 LogReader::~LogReader() { Release(); }
+
+void LogReader::ReleaseBefore(size_t offset) {
+  if (!mapped_) return;
+  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const size_t end = std::min(offset, size_) / page * page;
+  // Advisory: a failed madvise only leaves the pages resident.
+  if (end > 0) ::madvise(const_cast<uint8_t*>(data_), end, MADV_DONTNEED);
+}
 
 void LogReader::Release() {
   if (mapped_ && data_ != nullptr) {

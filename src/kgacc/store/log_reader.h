@@ -18,6 +18,11 @@
 /// testable). Either way the caller sees one contiguous span of the file's
 /// bytes; `mapped()` reports which path served it.
 ///
+/// A forward scan bounds its resident set with `ReleaseBefore`: it drops
+/// the mapped pages it has finished with, so replaying a log costs a window
+/// of RSS rather than the whole file. A dropped page stays readable; it
+/// faults back in from the file.
+///
 /// The reader holds no file descriptor: the caller keeps its own fd for the
 /// subsequent truncate/append positioning. Truncating the tail while a
 /// mapping is alive is safe here because recovery only reads bytes it has
@@ -52,6 +57,12 @@ class LogReader {
   /// True when the bytes are served by an mmap'd region (false = the
   /// streaming fallback buffered them).
   bool mapped() const { return mapped_; }
+
+  /// Drops the mapped pages wholly before `offset` from the resident set
+  /// (`madvise(MADV_DONTNEED)` on the page-aligned prefix). The bytes stay
+  /// readable. A no-op on the streaming fallback, whose buffer is the data
+  /// itself.
+  void ReleaseBefore(size_t offset);
 
  private:
   void Release();

@@ -20,15 +20,27 @@ Status IoError(const std::string& what, const std::string& path) {
   return Status::IoError(what + " '" + path + "': " + std::strerror(errno));
 }
 
-/// Scans `data` (past the magic) frame by frame. Returns the byte offset
-/// one past the last intact frame; everything after is a torn/corrupt tail.
-/// Replays intact frames through `replay`; a callback error is surfaced
-/// through `callback_status` and stops the scan.
-size_t ScanFrames(std::span<const uint8_t> data, size_t start,
+/// Bytes a replay scan walks between two `LogReader::ReleaseBefore` calls:
+/// the scan's resident share of a mapped log stays near this window.
+constexpr size_t kScanWindowBytes = size_t{4} << 20;
+
+/// Scans the reader's bytes (past the magic) frame by frame. Returns the
+/// byte offset one past the last intact frame; everything after is a
+/// torn/corrupt tail. Replays intact frames through `replay`; a callback
+/// error is surfaced through `callback_status` and stops the scan. The scan
+/// only reads forward and a payload is valid only during its callback, so
+/// once per window the pages before the current frame are released.
+size_t ScanFrames(LogReader* log, size_t start,
                   const WriteAheadLog::ReplayFn& replay,
                   uint64_t* frames_replayed, Status* callback_status) {
+  const std::span<const uint8_t> data = log->data();
   size_t valid_end = start;
+  size_t next_release = start + kScanWindowBytes;
   while (valid_end < data.size()) {
+    if (valid_end >= next_release) {
+      log->ReleaseBefore(valid_end);
+      next_release = valid_end + kScanWindowBytes;
+    }
     ByteReader reader(data.subspan(valid_end));
     const size_t frame_start_remaining = reader.remaining();
     const Result<uint8_t> type = reader.U8();
@@ -108,7 +120,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
                              "' is not a kgacc WAL (bad or truncated magic)");
     } else {
       Status callback_status;
-      valid_end = ScanFrames(data, walfmt::kMagicSize, replay,
+      valid_end = ScanFrames(&*reader, walfmt::kMagicSize, replay,
                              &recovery.frames_replayed, &callback_status);
       if (!callback_status.ok()) {
         ::close(fd);

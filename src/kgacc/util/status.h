@@ -37,7 +37,10 @@ const char* StatusCodeToString(StatusCode code);
 ///
 ///     Status s = DoThing();
 ///     if (!s.ok()) return s;
-class Status {
+///
+/// A discarded Status is a compile warning; a caller that means to drop
+/// one says so with `IgnoreError()`.
+class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() : code_(StatusCode::kOk) {}
@@ -86,19 +89,24 @@ class Status {
   /// "OK" or "<Code>: <message>".
   std::string ToString() const;
 
+  /// Drops this status on purpose: the call site is best-effort and a
+  /// failure needs no handling there.
+  void IgnoreError() const {}
+
  private:
   StatusCode code_;
   std::string message_;
 };
 
 /// Either a value of type T or an error Status. Analogous to
-/// `absl::StatusOr<T>` / `arrow::Result<T>`.
+/// `absl::StatusOr<T>` / `arrow::Result<T>`. Discarding one is a compile
+/// warning, as for `Status`.
 ///
 ///     Result<double> r = BetaQuantile(...);
 ///     if (!r.ok()) return r.status();
 ///     double q = *r;
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   /// Constructs a successful result holding `value`.
   Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)

@@ -32,6 +32,15 @@ std::string TempPath(const char* name) {
 
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> b) { return b; }
 
+// The stored checkpoint for `audit_id`; a read error fails the test.
+std::optional<std::vector<uint8_t>> StoredCheckpoint(
+    const AnnotationStore& store, uint64_t audit_id) {
+  Result<std::optional<std::vector<uint8_t>>> read =
+      store.LatestCheckpoint(audit_id);
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+  return read.value_or(std::nullopt);
+}
+
 TEST(AnnotationStoreTest, LabelsPersistAcrossReopen) {
   const std::string path = TempPath("persist");
   std::remove(path.c_str());
@@ -183,11 +192,10 @@ TEST(AnnotationStoreTest, CheckpointsAreLatestWinsPerAuditId) {
   }
   auto store = AnnotationStore::Open(path);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->LatestCheckpoint(42).has_value());
-  EXPECT_EQ(*(*store)->LatestCheckpoint(42), Bytes({2, 2, 2}));
-  ASSERT_TRUE((*store)->LatestCheckpoint(77).has_value());
-  EXPECT_EQ(*(*store)->LatestCheckpoint(77), Bytes({9}));
-  EXPECT_FALSE((*store)->LatestCheckpoint(1).has_value());
+  EXPECT_EQ(StoredCheckpoint(**store, 42), Bytes({2, 2, 2}));
+  EXPECT_EQ(StoredCheckpoint(**store, 77), Bytes({9}));
+  EXPECT_FALSE((*store)->HasCheckpoint(1));
+  EXPECT_EQ(StoredCheckpoint(**store, 1), std::nullopt);
   EXPECT_EQ((*store)->stats().checkpoints_replayed, 3u);
   std::remove(path.c_str());
 }
@@ -226,8 +234,7 @@ TEST(AnnotationStoreTest, CorruptTailRecoversToLastConsistentCheckpoint) {
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->stats().recovery.truncated_tail);
   EXPECT_EQ((*store)->num_labeled(), 1u);  // Second record discarded.
-  ASSERT_TRUE((*store)->LatestCheckpoint(5).has_value());
-  EXPECT_EQ(*(*store)->LatestCheckpoint(5), Bytes({1}));
+  EXPECT_EQ(StoredCheckpoint(**store, 5), Bytes({1}));
   std::remove(path.c_str());
 }
 

@@ -261,8 +261,9 @@ TEST(ChaosTest, CompactionCrashMatrixLeavesStoreRecoverable) {
       }
       labels_before = (*store)->num_labeled();
       ASSERT_GT(labels_before, 0u);
-      ASSERT_TRUE((*store)->LatestCheckpoint(1).has_value());
-      checkpoint_before = *(*store)->LatestCheckpoint(1);
+      const auto read = (*store)->LatestCheckpoint(1);
+      ASSERT_TRUE(read.ok() && read->has_value());
+      checkpoint_before = **read;
 
       // The injected compaction: every phase failure surfaces as a
       // non-OK status, and the store object is then abandoned without
@@ -278,13 +279,16 @@ TEST(ChaosTest, CompactionCrashMatrixLeavesStoreRecoverable) {
     auto store = AnnotationStore::Open(path);
     ASSERT_TRUE(store.ok()) << site << " left an unopenable store";
     EXPECT_EQ((*store)->num_labeled(), labels_before);
-    ASSERT_TRUE((*store)->LatestCheckpoint(1).has_value());
-    EXPECT_EQ(*(*store)->LatestCheckpoint(1), checkpoint_before);
+    const auto read = (*store)->LatestCheckpoint(1);
+    ASSERT_TRUE(read.ok() && read->has_value());
+    EXPECT_EQ(**read, checkpoint_before);
     // Nothing sticky: the next compaction succeeds and changes nothing
     // about the live state.
     ASSERT_TRUE((*store)->Compact().ok());
     EXPECT_EQ((*store)->num_labeled(), labels_before);
-    EXPECT_EQ(*(*store)->LatestCheckpoint(1), checkpoint_before);
+    const auto reread = (*store)->LatestCheckpoint(1);
+    ASSERT_TRUE(reread.ok() && reread->has_value());
+    EXPECT_EQ(**reread, checkpoint_before);
     EXPECT_EQ((*store)->garbage_ratio(), 0.0);
     std::remove(path.c_str());
   }
@@ -430,7 +434,7 @@ TEST(ChaosTest, FailFastModeSurfacesExhaustedWriteErrors) {
   EXPECT_FALSE(runner.stored()->degraded());
   EXPECT_GT(runner.stored()->retries(), 0u);
   EXPECT_EQ(runner.session().iterations(), 1);
-  EXPECT_FALSE((*store)->LatestCheckpoint(1).has_value());
+  EXPECT_FALSE((*store)->HasCheckpoint(1));
   std::remove(path.c_str());
 }
 

@@ -93,7 +93,7 @@ TEST_F(KgaccAuditTest, RefusedLabelIsNeverCheckpointedAndResumeRejudgesIt) {
     ASSERT_TRUE(store.ok());
     EXPECT_EQ((*store)->num_labeled(), 0u);
     EXPECT_EQ((*store)->stats().checkpoints_replayed, 0u);
-    EXPECT_FALSE((*store)->LatestCheckpoint(11).has_value());
+    EXPECT_FALSE((*store)->HasCheckpoint(11));
   }
 
   // The disarmed resume re-judges the refused labels (they land in the
