@@ -265,13 +265,23 @@ Result<ErrorMsg> DecodeError(std::span<const uint8_t> payload);
 Result<DrainMsg> DecodeDrain(std::span<const uint8_t> payload);
 Result<QuotaExceededMsg> DecodeQuotaExceeded(std::span<const uint8_t> payload);
 
+/// Appends a complete frame (header + payload + CRC) for a message to
+/// `out` — how the daemon writes replies straight into an outbox.
+template <typename EncodeFn, typename Msg>
+void AppendFrameOf(MessageType type, EncodeFn encode, const Msg& m,
+                   std::vector<uint8_t>* out) {
+  const std::vector<uint8_t> payload = encode(m);
+  AppendNetFrame(static_cast<uint8_t>(type), {payload.data(), payload.size()},
+                 out);
+}
+
 /// Encodes a complete frame (header + payload + CRC) for a message.
 template <typename EncodeFn, typename Msg>
 std::vector<uint8_t> FrameOf(MessageType type, EncodeFn encode,
                              const Msg& m) {
-  const std::vector<uint8_t> payload = encode(m);
-  return EncodeNetFrame(static_cast<uint8_t>(type),
-                        {payload.data(), payload.size()});
+  std::vector<uint8_t> out;
+  AppendFrameOf(type, encode, m, &out);
+  return out;
 }
 
 }  // namespace kgacc

@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <unordered_map>
 
 #include "kgacc/util/codec.h"
 #include "kgacc/util/failpoint.h"
@@ -21,35 +23,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+/// How long an idle loop sleeps in poll() before it checks idle timeouts.
+constexpr int kIdlePollMs = 100;
+
+void AppendError(StatusCode code, uint64_t audit_id, bool fatal_to_session,
+                 bool fatal_to_connection, const std::string& message,
+                 std::vector<uint8_t>* out) {
+  AppendFrameOf(MessageType::kError, EncodeError,
+                ErrorMsg{static_cast<uint8_t>(code), audit_id,
+                         fatal_to_session, fatal_to_connection, message},
+                out);
 }
 
-std::vector<uint8_t> ErrorFrame(StatusCode code, uint64_t audit_id,
-                                bool fatal_to_session,
-                                bool fatal_to_connection,
-                                const std::string& message) {
-  return FrameOf(MessageType::kError, EncodeError,
-                 ErrorMsg{static_cast<uint8_t>(code), audit_id,
-                          fatal_to_session, fatal_to_connection, message});
-}
-
-std::vector<uint8_t> QuotaFrame(uint64_t audit_id, const std::string& quota,
-                                uint64_t remaining, bool fatal_to_session,
-                                const std::string& message) {
-  return FrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded,
-                 QuotaExceededMsg{audit_id, quota, remaining,
-                                  fatal_to_session, message});
+void AppendQuota(uint64_t audit_id, const std::string& quota,
+                 uint64_t remaining, bool fatal_to_session,
+                 const std::string& message, std::vector<uint8_t>* out) {
+  AppendFrameOf(MessageType::kQuotaExceeded, EncodeQuotaExceeded,
+                QuotaExceededMsg{audit_id, quota, remaining, fatal_to_session,
+                                 message},
+                out);
 }
 
 }  // namespace
 
-/// One TCP peer. Owned and touched exclusively by the poll thread.
+/// One TCP peer. Owned by one loop at a time: the front loop until its
+/// first audit attaches, then its home loop for the rest of its life.
 struct AuditDaemon::Connection {
   OwnedFd fd;
-  /// Generation stamp: events from workers target (fd, gen), so a recycled
-  /// descriptor never receives a dead connection's frames.
-  uint64_t gen = 0;
   FrameAssembler assembler;
   /// Bytes queued for the peer; [outbox_off, size) is still unsent.
   std::vector<uint8_t> outbox;
@@ -59,23 +59,22 @@ struct AuditDaemon::Connection {
   /// connections the daemon is rejecting or draining).
   bool close_after_flush = false;
   Clock::time_point last_activity = Clock::now();
-  /// StepBatch frames admitted but not yet completed by a worker.
+  /// StepBatch frames admitted but not yet run.
   size_t inflight_batches = 0;
-  /// Audit ids attached to this connection.
-  std::vector<uint64_t> audits;
+  /// Sessions attached to this connection.
+  std::vector<Session*> sessions;
   /// Normalized tenant id from Hello and its registry config (points into
   /// the daemon's immutable Options::tenants; set once Hello succeeds).
   std::string tenant;
   const TenantConfig* tenant_config = nullptr;
 
-  explicit Connection(OwnedFd sock, uint64_t generation)
-      : fd(std::move(sock)), gen(generation) {}
+  explicit Connection(OwnedFd sock) : fd(std::move(sock)) {}
 };
 
-/// One audit session: the durable unit that outlives connections. The poll
-/// thread owns the registry and all metadata; while `busy` is set, the
-/// evaluation members (session/annotator/ckpt/store) belong to the worker
-/// running the batch and the poll thread must not touch them.
+/// One audit session: the durable unit that outlives connections. While
+/// attached, only the loop owning `conn` touches it; a detached session
+/// belongs to whoever re-adopts it under the registry mutex. Under
+/// run-to-completion a session is never mid-batch when it detaches.
 struct AuditDaemon::Session {
   uint64_t audit_id = 0;
   std::string kg_name;
@@ -88,34 +87,60 @@ struct AuditDaemon::Session {
   /// The session's loop: store wrap, checkpoints, step budget, deadline
   /// and the tenant's oracle-budget gate.
   std::unique_ptr<AuditRunner> runner;
-  /// Owning connection (-1 = detached, awaiting re-adoption).
-  int conn_fd = -1;
-  uint64_t conn_gen = 0;
-  int home_worker = 0;
+  /// Owning connection (nullptr = detached, awaiting re-adoption). Written
+  /// under the registry mutex.
+  Connection* conn = nullptr;
   /// Owning tenant (from the opening connection's Hello) and its config —
   /// a pointer into the daemon's immutable Options::tenants, stable for
   /// the daemon's life.
   std::string tenant;
   const TenantConfig* tenant_config = nullptr;
-  /// A batch is executing on the pool (poll thread sets before SubmitTo,
-  /// clears on the batch_done event).
-  bool busy = false;
-  /// Written by the worker while busy; read by the poll thread after.
-  bool failed = false;
-  bool finished = false;
   bool degraded_notified = false;
   /// The tenant's oracle budget ran out mid-audit: the session idles at
   /// its checkpoint (each further batch re-answers with a non-fatal
-  /// QuotaExceeded) instead of dying. Worker-written, like `failed`.
+  /// QuotaExceeded) instead of dying.
   bool quota_exhausted = false;
   /// Spend already charged to the ledger — advanced only on a successful
   /// Charge, so a failed append leaves the delta pending for the next
   /// step (never lost, never double-counted).
   uint64_t metered_oracle_calls = 0;
   uint64_t metered_store_bytes = 0;
-  /// Steps completed, atomically mirrored for the poll thread (AuditOpened
-  /// on re-adoption reads it while a batch may be running).
-  std::atomic<uint64_t> steps_done{0};
+
+  uint64_t steps_done() const {
+    return static_cast<uint64_t>(runner->session().iterations());
+  }
+};
+
+/// One event-loop thread and what it alone touches: its connections, the
+/// sessions attached to them and its DRR queue.
+struct AuditDaemon::Loop {
+  explicit Loop(uint64_t drr_quantum) : sched(drr_quantum) {}
+
+  /// The listener thread's loop (also polls the listen socket).
+  bool front = false;
+  OwnedFd wake_read;
+  OwnedFd wake_write;
+  std::map<int, std::unique_ptr<Connection>> conns;
+  /// Sessions attached to this loop's connections, by audit id.
+  std::unordered_map<uint64_t, Session*> sessions;
+  /// Admitted StepBatch frames in tenant-weighted DRR queues (cost =
+  /// steps): one batch runs per pick, so a heavy tenant's backlog cannot
+  /// starve a light tenant sharing the loop.
+  DrrScheduler sched;
+  /// poll() arguments, reused across iterations; `polled[i]` is the
+  /// connection fd behind `fds[first_conn + i]`.
+  std::vector<pollfd> fds;
+  std::vector<int> polled;
+  /// Connections handed over by the listener thread, adopted on wake.
+  std::mutex inbox_mu;
+  std::vector<std::unique_ptr<Connection>> inbox;
+  std::thread thread;
+
+  void Wake() const {
+    const uint8_t byte = 1;
+    // Best-effort: a full pipe already guarantees a pending wakeup.
+    (void)!write(wake_write.get(), &byte, 1);
+  }
 };
 
 AuditDaemon::AuditDaemon(const Options& options) : options_(options) {}
@@ -143,23 +168,25 @@ Status AuditDaemon::Start() {
   KGACC_ASSIGN_OR_RETURN(OwnedFd listener, ListenTcp(options_.port));
   KGACC_ASSIGN_OR_RETURN(port_, LocalPort(listener.get()));
   listener_ = std::move(listener);
-  int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  wake_read_ = OwnedFd(pipe_fds[0]);
-  wake_write_ = OwnedFd(pipe_fds[1]);
-  KGACC_RETURN_IF_ERROR(SetNonBlocking(wake_read_.get()));
-  KGACC_RETURN_IF_ERROR(SetNonBlocking(wake_write_.get()));
   int workers = options_.workers;
   if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
   }
   if (workers <= 0) workers = 1;
-  pool_ = std::make_unique<ThreadPool>(workers);
-  worker_sched_.assign(static_cast<size_t>(workers),
-                       DrrScheduler(options_.drr_quantum));
-  worker_busy_.assign(static_cast<size_t>(workers), 0);
+  // The front loop (the listener thread's), then `workers` step loops.
+  std::vector<std::unique_ptr<Loop>> loops;
+  for (int i = 0; i <= workers; ++i) {
+    auto loop = std::make_unique<Loop>(options_.drr_quantum);
+    int pipe_fds[2];
+    if (pipe(pipe_fds) != 0) {
+      return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+    }
+    loop->wake_read = OwnedFd(pipe_fds[0]);
+    loop->wake_write = OwnedFd(pipe_fds[1]);
+    KGACC_RETURN_IF_ERROR(SetNonBlocking(loop->wake_read.get()));
+    KGACC_RETURN_IF_ERROR(SetNonBlocking(loop->wake_write.get()));
+    loops.push_back(std::move(loop));
+  }
   // The tenant ledger shares the store directory but never a KG store's
   // filename (those carry a `kg_` prefix). Appends flush to the OS per
   // frame — enough to survive the SIGKILL the daemon is built around —
@@ -170,47 +197,40 @@ Status AuditDaemon::Start() {
                         ledger_options);
   if (!ledger.ok()) return ledger.status();
   ledger_ = std::move(*ledger);
+  front_ = std::move(loops.front());
+  front_->front = true;
+  loops_.assign(std::make_move_iterator(loops.begin() + 1),
+                std::make_move_iterator(loops.end()));
   started_.store(true, std::memory_order_release);
-  poll_thread_ = std::thread(&AuditDaemon::PollLoop, this);
+  for (auto& loop : loops_) {
+    loop->thread = std::thread(&AuditDaemon::Serve, this, std::ref(*loop));
+  }
+  listener_thread_ = std::thread(&AuditDaemon::ListenerMain, this);
   return Status::OK();
 }
 
 void AuditDaemon::RequestDrain() {
   draining_.store(true, std::memory_order_release);
-  WakePoll();
+  if (front_ == nullptr) return;
+  front_->Wake();
+  for (const auto& loop : loops_) loop->Wake();
 }
 
 void AuditDaemon::Wait() {
-  if (poll_thread_.joinable()) poll_thread_.join();
+  if (listener_thread_.joinable()) listener_thread_.join();
 }
 
 void AuditDaemon::Stop() {
   RequestDrain();
   Wait();
-  pool_.reset();
-}
-
-void AuditDaemon::WakePoll() {
-  if (!wake_write_.valid()) return;
-  const uint8_t byte = 1;
-  // Best-effort: a full pipe already guarantees a pending wakeup.
-  (void)!write(wake_write_.get(), &byte, 1);
-}
-
-void AuditDaemon::QueueFrame(Connection& conn, std::vector<uint8_t> frame) {
-  if (conn.outbox.empty()) {
-    conn.outbox = std::move(frame);
-  } else {
-    conn.outbox.insert(conn.outbox.end(), frame.begin(), frame.end());
-  }
 }
 
 void AuditDaemon::QueueError(Connection& conn, StatusCode code,
                              uint64_t audit_id, bool fatal_to_session,
                              bool fatal_to_connection,
                              const std::string& message) {
-  QueueFrame(conn, ErrorFrame(code, audit_id, fatal_to_session,
-                              fatal_to_connection, message));
+  AppendError(code, audit_id, fatal_to_session, fatal_to_connection, message,
+              &conn.outbox);
   if (fatal_to_connection) conn.close_after_flush = true;
 }
 
@@ -218,7 +238,7 @@ void AuditDaemon::QueueBusy(Connection& conn, const std::string& reason) {
   stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
   BusyMsg busy;
   busy.reason = reason;
-  QueueFrame(conn, FrameOf(MessageType::kBusy, EncodeBusy, busy));
+  AppendFrameOf(MessageType::kBusy, EncodeBusy, busy, &conn.outbox);
 }
 
 void AuditDaemon::QueueQuotaExceeded(Connection& conn, uint64_t audit_id,
@@ -226,8 +246,8 @@ void AuditDaemon::QueueQuotaExceeded(Connection& conn, uint64_t audit_id,
                                      uint64_t remaining,
                                      const std::string& message) {
   stats_.quota_rejections.fetch_add(1, std::memory_order_relaxed);
-  QueueFrame(conn, QuotaFrame(audit_id, quota, remaining,
-                              /*fatal_to_session=*/true, message));
+  AppendQuota(audit_id, quota, remaining, /*fatal_to_session=*/true, message,
+              &conn.outbox);
 }
 
 bool AuditDaemon::FlushOutbox(Connection& conn) {
@@ -252,51 +272,75 @@ bool AuditDaemon::FlushOutbox(Connection& conn) {
   return true;
 }
 
-void AuditDaemon::DropQueuedBatches(Session& session) {
-  if (session.home_worker < 0 ||
-      static_cast<size_t>(session.home_worker) >= worker_sched_.size()) {
-    return;
-  }
-  const DrrRemoved removed =
-      worker_sched_[session.home_worker].RemoveId(session.audit_id);
+bool AuditDaemon::ReserveInflightSteps(const Session& session,
+                                       uint64_t steps) {
+  const uint64_t cap = session.tenant_config->max_inflight_steps;
+  if (cap == 0) return true;  // Uncapped tenants keep no account.
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  uint64_t& inflight = tenant_inflight_steps_[session.tenant];
+  if (inflight + steps > cap) return false;
+  inflight += steps;
+  return true;
+}
+
+void AuditDaemon::ReleaseInflightSteps(const Session& session,
+                                       uint64_t steps) {
+  if (session.tenant_config->max_inflight_steps == 0) return;
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  auto it = tenant_inflight_steps_.find(session.tenant);
+  if (it == tenant_inflight_steps_.end()) return;
+  it->second -= std::min(it->second, steps);
+  if (it->second == 0) tenant_inflight_steps_.erase(it);
+}
+
+void AuditDaemon::DropQueuedBatches(Loop& loop, Session& session) {
+  const DrrRemoved removed = loop.sched.RemoveId(session.audit_id);
   if (removed.items == 0) return;
-  auto tit = tenant_inflight_steps_.find(session.tenant);
-  if (tit != tenant_inflight_steps_.end()) {
-    tit->second -= std::min(tit->second, removed.cost);
-    if (tit->second == 0) tenant_inflight_steps_.erase(tit);
-  }
-  auto cit = conns_.find(session.conn_fd);
-  if (cit != conns_.end() && cit->second->gen == session.conn_gen) {
-    Connection& conn = *cit->second;
-    conn.inflight_batches -= std::min(conn.inflight_batches, removed.items);
+  ReleaseInflightSteps(session, removed.cost);
+  Connection& conn = *session.conn;  // Only attached sessions queue work.
+  conn.inflight_batches -= std::min(conn.inflight_batches, removed.items);
+}
+
+void AuditDaemon::DetachSession(Loop& loop, Session& session) {
+  DropQueuedBatches(loop, session);
+  // Bound the reconnect replay: a detached session re-adopts from its
+  // freshest possible snapshot. A failure costs replay, not labels —
+  // every label is already in the WAL — so it is counted, not fatal. The
+  // snapshot comes first: once detached, another loop may adopt it.
+  CheckpointSession(session);
+  loop.sessions.erase(session.audit_id);
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  session.conn = nullptr;
+}
+
+void AuditDaemon::EndSession(Loop& loop, Session& session) {
+  // The session leaves the registry; its store (flushed WAL + checkpoints)
+  // remains the durable artifact a reopen resumes from. A budget-stopped
+  // session was snapshotted by its runner; a failed one must not be (its
+  // last step may outrun the log).
+  DropQueuedBatches(loop, session);
+  std::erase(session.conn->sessions, &session);
+  loop.sessions.erase(session.audit_id);
+  std::unique_ptr<Session> ended;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    auto it = sessions_.find(session.audit_id);
+    ended = std::move(it->second);
+    sessions_.erase(it);
   }
 }
 
-void AuditDaemon::DetachSession(Session& session) {
-  DropQueuedBatches(session);
-  session.conn_fd = -1;
-  session.conn_gen = 0;
-  if (!session.busy && !session.finished && !session.failed) {
-    // Bound the reconnect replay: a detached session re-adopts from its
-    // freshest possible snapshot. A failure costs replay, not labels —
-    // every label is already in the WAL — so it is counted, not fatal.
-    CheckpointSession(session);
-  }
-}
-
-void AuditDaemon::CloseConnection(int fd, const Status& cause) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+void AuditDaemon::CloseConnection(Loop& loop, int fd, const Status& cause) {
+  auto it = loop.conns.find(fd);
+  if (it == loop.conns.end()) return;
   if (!cause.ok()) {
     stats_.connections_failed.fetch_add(1, std::memory_order_relaxed);
   }
-  for (uint64_t audit_id : it->second->audits) {
-    auto sit = sessions_.find(audit_id);
-    if (sit != sessions_.end() && sit->second->conn_fd == fd) {
-      DetachSession(*sit->second);
-    }
+  for (Session* session : it->second->sessions) {
+    DetachSession(loop, *session);
   }
-  conns_.erase(it);
+  loop.conns.erase(it);
+  live_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void AuditDaemon::DoAccept() {
@@ -311,7 +355,9 @@ void AuditDaemon::DoAccept() {
       continue;
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    if (conns_.size() >= options_.max_connections || draining()) {
+    if (live_connections_.load(std::memory_order_relaxed) >=
+            options_.max_connections ||
+        draining()) {
       // Courtesy push-back for a connection the daemon will not serve:
       // a Busy frame (best effort into the socket buffer), then close.
       stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
@@ -322,27 +368,32 @@ void AuditDaemon::DoAccept() {
       (void)!send(accepted->get(), frame.data(), frame.size(), MSG_NOSIGNAL);
       continue;
     }
+    live_connections_.fetch_add(1, std::memory_order_relaxed);
     const int fd = accepted->get();
-    conns_.emplace(fd, std::make_unique<Connection>(std::move(*accepted),
-                                                    next_conn_gen_++));
+    auto conn = std::make_unique<Connection>(std::move(*accepted));
+    Connection& added = *conn;
+    front_->conns.emplace(fd, std::move(conn));
+    // A client sends Hello right behind its connect: read it now rather
+    // than on the next poll.
+    (void)ServiceReadable(*front_, added);
   }
 }
 
-bool AuditDaemon::ServiceReadable(Connection& conn) {
+bool AuditDaemon::ServiceReadable(Loop& loop, Connection& conn) {
   uint8_t buf[4096];
   while (true) {
     ssize_t n = recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConnection(conn.fd.get(),
+      CloseConnection(loop, conn.fd.get(),
                       Status::IoError(std::string("recv: ") +
                                       std::strerror(errno)));
       return false;
     }
     if (n == 0) {
       // Clean close by the peer; its sessions checkpoint and detach.
-      CloseConnection(conn.fd.get(), Status::OK());
+      CloseConnection(loop, conn.fd.get(), Status::OK());
       return false;
     }
     conn.last_activity = Clock::now();
@@ -353,28 +404,35 @@ bool AuditDaemon::ServiceReadable(Connection& conn) {
       buf[static_cast<size_t>(n) / 2] ^= 0x40;
     }
     conn.assembler.Feed({buf, static_cast<size_t>(n)});
-    while (true) {
-      NetFrame frame;
-      const auto next = conn.assembler.Next(&frame);
-      if (!next.ok()) {
-        // Corrupt stream: tell the peer why (best effort — its read side
-        // usually still works), then fail the connection, not the daemon.
-        const std::vector<uint8_t> bytes =
-            ErrorFrame(next.status().code(), 0, false, true,
-                       next.status().message());
-        (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
-        CloseConnection(conn.fd.get(), next.status());
-        return false;
-      }
-      if (!*next) break;
-      if (!HandleFrame(conn, frame)) return false;
-    }
+    if (!DispatchFrames(loop, conn)) return false;
+    if (loop.front && !conn.sessions.empty()) break;  // Leaving for its loop.
     if (static_cast<size_t>(n) < sizeof(buf)) break;
   }
   return true;
 }
 
-bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
+bool AuditDaemon::DispatchFrames(Loop& loop, Connection& conn) {
+  while (!(loop.front && !conn.sessions.empty())) {
+    NetFrame frame;
+    const auto next = conn.assembler.Next(&frame);
+    if (!next.ok()) {
+      // Corrupt stream: tell the peer why (best effort — its read side
+      // usually still works), then fail the connection, not the daemon.
+      std::vector<uint8_t> bytes;
+      AppendError(next.status().code(), 0, false, true,
+                  next.status().message(), &bytes);
+      (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      CloseConnection(loop, conn.fd.get(), next.status());
+      return false;
+    }
+    if (!*next) break;
+    if (!HandleFrame(loop, conn, frame)) return false;
+  }
+  return true;
+}
+
+bool AuditDaemon::HandleFrame(Loop& loop, Connection& conn,
+                              const NetFrame& frame) {
   const auto type = static_cast<MessageType>(frame.type);
   const std::span<const uint8_t> payload(frame.payload.data(),
                                          frame.payload.size());
@@ -415,7 +473,7 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
       ack.draining = draining();
       ack.heartbeat_interval_ms = options_.heartbeat_interval_ms;
       ack.idle_timeout_ms = options_.idle_timeout_ms;
-      QueueFrame(conn, FrameOf(MessageType::kHelloAck, EncodeHelloAck, ack));
+      AppendFrameOf(MessageType::kHelloAck, EncodeHelloAck, ack, &conn.outbox);
       return true;
     }
     case MessageType::kOpenAudit: {
@@ -425,7 +483,7 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
                    msg.status().message());
         return true;
       }
-      HandleOpenAudit(conn, *msg);
+      HandleOpenAudit(loop, conn, *msg);
       return true;
     }
     case MessageType::kStepBatch: {
@@ -435,7 +493,7 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
                    msg.status().message());
         return true;
       }
-      HandleStepBatch(conn, *msg);
+      HandleStepBatch(loop, conn, *msg);
       return true;
     }
     case MessageType::kCloseAudit: {
@@ -445,11 +503,11 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
                    msg.status().message());
         return true;
       }
-      auto sit = sessions_.find(msg->audit_id);
-      if (sit != sessions_.end() &&
-          sit->second->conn_fd == conn.fd.get()) {
-        DetachSession(*sit->second);
-        std::erase(conn.audits, msg->audit_id);
+      auto sit = loop.sessions.find(msg->audit_id);
+      if (sit != loop.sessions.end() && sit->second->conn == &conn) {
+        Session* session = sit->second;
+        DetachSession(loop, *session);
+        std::erase(conn.sessions, session);
       }
       return true;
     }
@@ -468,8 +526,8 @@ bool AuditDaemon::HandleFrame(Connection& conn, const NetFrame& frame) {
         return true;
       }
       stats_.heartbeats_acked.fetch_add(1, std::memory_order_relaxed);
-      QueueFrame(conn, FrameOf(MessageType::kHeartbeatAck, EncodeHeartbeatAck,
-                               *msg));
+      AppendFrameOf(MessageType::kHeartbeatAck, EncodeHeartbeatAck, *msg,
+                    &conn.outbox);
       return true;
     }
     default: {
@@ -520,16 +578,17 @@ Result<std::shared_ptr<AnnotationStore>> AuditDaemon::StoreForKg(
   return shared;
 }
 
-void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
+void AuditDaemon::HandleOpenAudit(Loop& loop, Connection& conn,
+                                  const OpenAuditMsg& msg) {
   if (draining()) {
     QueueBusy(conn, "daemon is draining; reconnect after restart");
     return;
   }
+  std::lock_guard<std::mutex> lock(registry_mu_);
   auto sit = sessions_.find(msg.audit_id);
   if (sit != sessions_.end()) {
     Session& session = *sit->second;
-    if (session.conn_fd >= 0 && session.conn_fd != conn.fd.get() &&
-        conns_.count(session.conn_fd) != 0) {
+    if (session.conn != nullptr && session.conn != &conn) {
       QueueError(conn, StatusCode::kFailedPrecondition, msg.audit_id, false,
                  false,
                  "audit " + std::to_string(msg.audit_id) +
@@ -543,22 +602,17 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
                      " belongs to tenant '" + session.tenant + "'");
       return;
     }
-    // Re-adoption: the session survived its connection. Budgets restart
-    // from the adopt point; the evaluation state continues untouched.
-    // Tenant quota admission is deliberately skipped — a live session
-    // reattaching is not new work, and an exhausted budget already stops
-    // its steps.
-    session.conn_fd = conn.fd.get();
-    session.conn_gen = conn.gen;
-    if (!session.busy) {
-      session.runner->SetBudget(
-          msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps,
-          msg.deadline_seconds);
-    }
-    if (std::find(conn.audits.begin(), conn.audits.end(), msg.audit_id) ==
-        conn.audits.end()) {
-      conn.audits.push_back(msg.audit_id);
-    }
+    // Re-adoption: the session survived its connection, and now runs on
+    // this connection's loop. Budgets restart from the adopt point; the
+    // evaluation state continues untouched. Tenant quota admission is
+    // deliberately skipped — a live session reattaching is not new work,
+    // and an exhausted budget already stops its steps.
+    if (session.conn == nullptr) conn.sessions.push_back(&session);
+    session.conn = &conn;
+    loop.sessions[msg.audit_id] = &session;
+    session.runner->SetBudget(
+        msg.max_steps != 0 ? msg.max_steps : options_.default_max_steps,
+        msg.deadline_seconds);
     stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
     QueueAuditOpened(conn, session, /*resumed=*/true);
     return;
@@ -684,18 +738,11 @@ void AuditDaemon::HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg) {
     }
     resumed = *restored;
   }
-  if (resumed) {
-    session->steps_done.store(
-        static_cast<uint64_t>(session->runner->session().iterations()),
-        std::memory_order_relaxed);
-    stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (resumed) stats_.sessions_resumed.fetch_add(1, std::memory_order_relaxed);
 
-  session->conn_fd = conn.fd.get();
-  session->conn_gen = conn.gen;
-  session->home_worker = static_cast<int>(
-      msg.audit_id % static_cast<uint64_t>(pool_->num_threads()));
-  conn.audits.push_back(msg.audit_id);
+  session->conn = &conn;
+  conn.sessions.push_back(sp);
+  loop.sessions[msg.audit_id] = sp;
   stats_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
 
   QueueAuditOpened(conn, *session, resumed);
@@ -707,17 +754,18 @@ void AuditDaemon::QueueAuditOpened(Connection& conn, const Session& session,
   AuditOpenedMsg opened;
   opened.audit_id = session.audit_id;
   opened.resumed = resumed;
-  opened.start_step = session.steps_done.load(std::memory_order_relaxed);
+  opened.start_step = session.steps_done();
   opened.labels_on_file = session.store->num_labeled();
   opened.design_name = session.design_name;
   opened.dataset_name = session.kg_name;
-  QueueFrame(conn,
-             FrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened));
+  AppendFrameOf(MessageType::kAuditOpened, EncodeAuditOpened, opened,
+                &conn.outbox);
 }
 
-void AuditDaemon::HandleStepBatch(Connection& conn, const StepBatchMsg& msg) {
-  auto sit = sessions_.find(msg.audit_id);
-  if (sit == sessions_.end() || sit->second->conn_fd != conn.fd.get()) {
+void AuditDaemon::HandleStepBatch(Loop& loop, Connection& conn,
+                                  const StepBatchMsg& msg) {
+  auto sit = loop.sessions.find(msg.audit_id);
+  if (sit == loop.sessions.end() || sit->second->conn != &conn) {
     QueueError(conn, StatusCode::kFailedPrecondition, msg.audit_id, true,
                false,
                "audit " + std::to_string(msg.audit_id) +
@@ -738,57 +786,36 @@ void AuditDaemon::HandleStepBatch(Connection& conn, const StepBatchMsg& msg) {
   }
   Session& session = *sit->second;
   const TenantConfig& tenant_config = *session.tenant_config;
-  if (tenant_config.max_inflight_steps != 0) {
-    uint64_t inflight = 0;
-    auto tit = tenant_inflight_steps_.find(session.tenant);
-    if (tit != tenant_inflight_steps_.end()) inflight = tit->second;
-    if (inflight + msg.steps > tenant_config.max_inflight_steps) {
-      // Transient back-pressure, not a budget violation: the cap frees as
-      // batches complete, so Busy (retry-later) is the honest answer.
-      QueueBusy(conn, "tenant '" + session.tenant +
-                          "' in-flight step cap (" +
-                          std::to_string(tenant_config.max_inflight_steps) +
-                          ") reached");
-      return;
-    }
+  if (!ReserveInflightSteps(session, msg.steps)) {
+    // Transient back-pressure, not a budget violation: the cap frees as
+    // batches complete, so Busy (retry-later) is the honest answer.
+    QueueBusy(conn, "tenant '" + session.tenant + "' in-flight step cap (" +
+                        std::to_string(tenant_config.max_inflight_steps) +
+                        ") reached");
+    return;
   }
   ++conn.inflight_batches;
-  tenant_inflight_steps_[session.tenant] += msg.steps;
-  // Weighted fairness: batches queue per worker in tenant DRR queues
-  // (cost = steps) instead of running FIFO, so a heavy tenant's backlog
-  // cannot starve a light tenant sharing the worker.
-  worker_sched_[session.home_worker].Push(
-      session.tenant, tenant_config.weight,
-      DrrItem{session.audit_id, msg.steps});
-  PumpWorker(session.home_worker);
+  loop.sched.Push(session.tenant, tenant_config.weight,
+                  DrrItem{session.audit_id, msg.steps});
 }
 
-void AuditDaemon::PumpWorker(int worker) {
-  if (worker < 0 || static_cast<size_t>(worker) >= worker_sched_.size()) {
-    return;
-  }
-  if (worker_busy_[worker] != 0) return;
-  DrrScheduler& sched = worker_sched_[worker];
-  while (!sched.empty()) {
-    const std::optional<DrrItem> item = sched.Pop();
-    if (!item.has_value()) break;
-    auto sit = sessions_.find(item->id);
-    if (sit == sessions_.end()) continue;  // evicted with work still queued
-    Session& session = *sit->second;
-    session.busy = true;
-    worker_busy_[worker] = 1;
-    Session* sp = &session;
-    const uint64_t steps = item->cost;
-    const int fd = session.conn_fd;
-    const uint64_t gen = session.conn_gen;
-    pool_->SubmitTo(worker, [this, sp, steps, fd, gen, worker] {
-      RunBatch(sp, steps, fd, gen, worker);
-    });
-    return;
-  }
+void AuditDaemon::RunNextBatch(Loop& loop) {
+  const std::optional<DrrItem> item = loop.sched.Pop();
+  if (!item.has_value()) return;
+  // Queued batches belong to sessions attached here: detaching or ending
+  // a session drops its queued batches.
+  const auto sit = loop.sessions.find(item->id);
+  if (sit == loop.sessions.end()) return;
+  Session& session = *sit->second;
+  Connection& conn = *session.conn;
+  const bool ended = RunBatch(session, item->cost, &conn.outbox);
+  if (conn.inflight_batches > 0) --conn.inflight_batches;
+  ReleaseInflightSteps(session, item->cost);
+  if (ended) EndSession(loop, session);
 }
 
-std::vector<uint8_t> AuditDaemon::BuildReportFrame(Session& session) {
+void AuditDaemon::AppendReportFrame(Session& session,
+                                    std::vector<uint8_t>* out) {
   const RunCounters counters = session.runner->counters();
   AuditReportMsg report;
   report.audit_id = session.audit_id;
@@ -801,7 +828,7 @@ std::vector<uint8_t> AuditDaemon::BuildReportFrame(Session& session) {
   report.store_retries = counters.retries;
   report.degraded = counters.degraded;
   report.degradation_note = counters.degradation_note;
-  return FrameOf(MessageType::kAuditReport, EncodeAuditReport, report);
+  AppendFrameOf(MessageType::kAuditReport, EncodeAuditReport, report, out);
 }
 
 uint64_t AuditDaemon::OracleSpend(const Session& session) const {
@@ -821,7 +848,7 @@ Status AuditDaemon::OracleBudgetGate(const Session& session) const {
   return Status::QuotaExceeded(
       "tenant '" + session.tenant + "' oracle-call budget (" +
       std::to_string(budget) + ") exhausted at step " +
-      std::to_string(session.steps_done.load(std::memory_order_relaxed)) +
+      std::to_string(session.steps_done()) +
       "; session checkpointed — reopen once the budget grows");
 }
 
@@ -831,24 +858,13 @@ void AuditDaemon::CheckpointSession(Session& session) {
   }
 }
 
-void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
-                           uint64_t conn_gen, int worker) {
-  Event ev;
-  ev.conn_fd = conn_fd;
-  ev.conn_gen = conn_gen;
-  ev.audit_id = session->audit_id;
-  ev.worker = worker;
-  ev.steps = steps;
-  ev.tenant = session->tenant;
-  auto push_frame = [&](const std::vector<uint8_t>& frame) {
-    ev.frames.insert(ev.frames.end(), frame.begin(), frame.end());
-  };
-  AuditRunner& runner = *session->runner;
-  const TenantConfig& tenant_config = *session->tenant_config;
+bool AuditDaemon::RunBatch(Session& session, uint64_t steps,
+                           std::vector<uint8_t>* out) {
+  AuditRunner& runner = *session.runner;
+  const TenantConfig& tenant_config = *session.tenant_config;
   uint64_t checkpoint_failures = runner.counters().checkpoint_failures;
 
-  for (uint64_t i = 0; i < steps && !session->failed && !session->finished;
-       ++i) {
+  for (uint64_t i = 0; i < steps; ++i) {
     const RunOutcome outcome = runner.Advance(1);
     const RunCounters counters = runner.counters();
     stats_.checkpoint_failures.fetch_add(
@@ -862,15 +878,15 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     // spend is never lost and never double-counted (Charge acks only after
     // the durable cumulative frame settles).
     const uint64_t oracle_delta =
-        counters.oracle_calls - session->metered_oracle_calls;
+        counters.oracle_calls - session.metered_oracle_calls;
     const uint64_t bytes_delta =
-        counters.store_bytes - session->metered_store_bytes;
+        counters.store_bytes - session.metered_store_bytes;
     if (oracle_delta != 0 || bytes_delta != 0) {
       const Status charged =
-          ledger_->Charge(session->tenant, oracle_delta, bytes_delta);
+          ledger_->Charge(session.tenant, oracle_delta, bytes_delta);
       if (charged.ok()) {
-        session->metered_oracle_calls = counters.oracle_calls;
-        session->metered_store_bytes = counters.store_bytes;
+        session.metered_oracle_calls = counters.oracle_calls;
+        session.metered_store_bytes = counters.store_bytes;
       }
     }
     if (outcome == RunOutcome::kFailed || outcome == RunOutcome::kDeadline) {
@@ -879,39 +895,32 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
       const bool deadline = outcome == RunOutcome::kDeadline;
       (deadline ? stats_.deadline_exceeded : stats_.sessions_failed)
           .fetch_add(1, std::memory_order_relaxed);
-      push_frame(ErrorFrame(
-          runner.status().code(), session->audit_id,
-          /*fatal_to_session=*/true, /*fatal_to_connection=*/false,
-          deadline ? "session " + runner.status().message() +
-                         "; reopen to continue from the checkpoint"
-                   : runner.status().message()));
-      ev.session_failed = true;
-      session->failed = true;
-      break;
+      AppendError(runner.status().code(), session.audit_id,
+                  /*fatal_to_session=*/true, /*fatal_to_connection=*/false,
+                  deadline ? "session " + runner.status().message() +
+                                 "; reopen to continue from the checkpoint"
+                           : runner.status().message(),
+                  out);
+      return true;
     }
     if (outcome == RunOutcome::kParked && !runner.status().ok()) {
       // The oracle-budget gate parked the session at its checkpoint.
-      if (!session->quota_exhausted) {
-        session->quota_exhausted = true;
+      if (!session.quota_exhausted) {
+        session.quota_exhausted = true;
         stats_.quota_exhaustions.fetch_add(1, std::memory_order_relaxed);
       }
-      push_frame(QuotaFrame(session->audit_id, "oracle_budget",
-                            RemainingAllowance(tenant_config.oracle_budget,
-                                               OracleSpend(*session)),
-                            /*fatal_to_session=*/false,
-                            runner.status().message()));
-      break;
+      AppendQuota(session.audit_id, "oracle_budget",
+                  RemainingAllowance(tenant_config.oracle_budget,
+                                     OracleSpend(session)),
+                  /*fatal_to_session=*/false, runner.status().message(), out);
+      return false;
     }
-    session->steps_done.store(
-        static_cast<uint64_t>(runner.session().iterations()),
-        std::memory_order_relaxed);
-
     StoredAnnotator& stored = *runner.stored();
     if (tenant_config.store_byte_quota != 0 && !stored.degraded()) {
       const uint64_t durable_bytes =
-          ledger_->Balance(session->tenant).store_bytes;
+          ledger_->Balance(session.tenant).store_bytes;
       const uint64_t unmetered_bytes =
-          counters.store_bytes - session->metered_store_bytes;
+          counters.store_bytes - session.metered_store_bytes;
       if (durable_bytes + unmetered_bytes >=
           tenant_config.store_byte_quota) {
         // Soft quota: the audit keeps running, but new oracle labels stop
@@ -919,20 +928,21 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
         // read-only mode a sticky WAL failure drops into. Checkpoints
         // still append so the session stays resumable.
         stored.ForceDegrade(Status::QuotaExceeded(
-            "tenant '" + session->tenant + "' store-byte quota (" +
+            "tenant '" + session.tenant + "' store-byte quota (" +
             std::to_string(tenant_config.store_byte_quota) + ") exhausted"));
         stats_.quota_degraded.fetch_add(1, std::memory_order_relaxed);
-        push_frame(QuotaFrame(
-            session->audit_id, "store_quota", 0, /*fatal_to_session=*/false,
-            "tenant '" + session->tenant + "' store-byte quota (" +
+        AppendQuota(
+            session.audit_id, "store_quota", 0, /*fatal_to_session=*/false,
+            "tenant '" + session.tenant + "' store-byte quota (" +
                 std::to_string(tenant_config.store_byte_quota) +
-                ") exhausted; annotation persistence degraded to read-only"));
+                ") exhausted; annotation persistence degraded to read-only",
+            out);
       }
     }
 
     const bool degraded = counters.degraded || stored.degraded();
-    if (degraded && !session->degraded_notified) {
-      session->degraded_notified = true;
+    if (degraded && !session.degraded_notified) {
+      session.degraded_notified = true;
       stats_.sessions_degraded.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -941,8 +951,8 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     const StepOutcome& step = runner.last_step();
     const auto partial = runner.session().Finish();
     IntervalUpdateMsg update;
-    update.audit_id = session->audit_id;
-    update.step = session->steps_done.load(std::memory_order_relaxed);
+    update.audit_id = session.audit_id;
+    update.step = session.steps_done();
     update.annotated_triples = step.annotated_triples;
     update.mu = step.mu;
     if (partial.ok()) {
@@ -955,175 +965,170 @@ void AuditDaemon::RunBatch(Session* session, uint64_t steps, int conn_fd,
     update.done = step.done;
     update.stop_reason = static_cast<uint8_t>(step.stop_reason);
     update.degraded = degraded;
-    push_frame(
-        FrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update));
+    AppendFrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update,
+                  out);
 
     if (outcome == RunOutcome::kDone || outcome == RunOutcome::kDegraded) {
-      push_frame(BuildReportFrame(*session));
-      ev.session_finished = true;
-      session->finished = true;
+      AppendReportFrame(session, out);
+      return true;
     }
   }
+  return false;
+}
 
-  ev.batch_done = true;
+void AuditDaemon::AdoptInbox(Loop& loop) {
+  std::vector<std::unique_ptr<Connection>> arrived;
   {
-    std::lock_guard<std::mutex> lock(events_mu_);
-    events_.push_back(std::move(ev));
+    std::lock_guard<std::mutex> lock(loop.inbox_mu);
+    arrived.swap(loop.inbox);
   }
-  WakePoll();
+  for (std::unique_ptr<Connection>& owned : arrived) {
+    Connection& conn = *owned;
+    for (Session* session : conn.sessions) {
+      loop.sessions[session->audit_id] = session;
+    }
+    loop.conns.emplace(conn.fd.get(), std::move(owned));
+    // Frames that arrived behind the first OpenAudit came along in the
+    // assembler; the first StepBatch may already wait in the socket.
+    if (DispatchFrames(loop, conn)) (void)ServiceReadable(loop, conn);
+  }
 }
 
-void AuditDaemon::DrainEvents() {
-  std::deque<Event> events;
+void AuditDaemon::HandOff(Loop& front, int fd) {
+  auto it = front.conns.find(fd);
+  std::unique_ptr<Connection> conn = std::move(it->second);
+  front.conns.erase(it);
+  for (const Session* session : conn->sessions) {
+    front.sessions.erase(session->audit_id);
+  }
+  Loop& home = *loops_[conn->sessions.front()->audit_id % loops_.size()];
   {
-    std::lock_guard<std::mutex> lock(events_mu_);
-    events.swap(events_);
+    std::lock_guard<std::mutex> lock(home.inbox_mu);
+    home.inbox.push_back(std::move(conn));
   }
-  for (Event& ev : events) {
-    Connection* conn = nullptr;
-    auto cit = conns_.find(ev.conn_fd);
-    if (cit != conns_.end() && cit->second->gen == ev.conn_gen) {
-      conn = cit->second.get();
+  home.Wake();
+}
+
+void AuditDaemon::SettleConnections(Loop& loop) {
+  for (auto it = loop.conns.begin(); it != loop.conns.end();) {
+    // Each branch below removes at most the current entry.
+    const auto next = std::next(it);
+    const int fd = it->first;
+    Connection& conn = *it->second;
+    if (!FlushOutbox(conn)) {
+      CloseConnection(loop, fd, Status::IoError("connection write failed"));
+    } else if (conn.close_after_flush &&
+               conn.outbox_off >= conn.outbox.size()) {
+      CloseConnection(loop, fd, Status::OK());
+    } else if (loop.front && !conn.sessions.empty()) {
+      HandOff(loop, fd);
     }
-    if (conn != nullptr && !ev.frames.empty()) {
-      QueueFrame(*conn, std::move(ev.frames));
-    }
-    if (!ev.batch_done) continue;
-    if (conn != nullptr && conn->inflight_batches > 0) {
-      --conn->inflight_batches;
-    }
-    // Return the batch's reservations before any early-out: the worker
-    // slot frees, and the tenant's inflight-step account shrinks.
-    if (ev.worker >= 0 &&
-        static_cast<size_t>(ev.worker) < worker_busy_.size()) {
-      worker_busy_[ev.worker] = 0;
-    }
-    auto tit = tenant_inflight_steps_.find(ev.tenant);
-    if (tit != tenant_inflight_steps_.end()) {
-      tit->second -= std::min(tit->second, ev.steps);
-      if (tit->second == 0) tenant_inflight_steps_.erase(tit);
-    }
-    auto sit = sessions_.find(ev.audit_id);
-    if (sit != sessions_.end()) {
-      Session& session = *sit->second;
-      session.busy = false;
-      if (ev.session_finished || ev.session_failed) {
-        // The session leaves the registry; its store (flushed WAL +
-        // checkpoints) remains the durable artifact a reopen resumes from.
-        // A budget-stopped session was snapshotted by its runner; a failed
-        // one must not be (its last step may outrun the log).
-        if (conn != nullptr) std::erase(conn->audits, ev.audit_id);
-        DropQueuedBatches(session);
-        sessions_.erase(sit);
-      } else if (session.conn_fd < 0) {
-        // Detached mid-batch: checkpoint now that the worker is done.
-        CheckpointSession(session);
-      }
-    }
-    // The freed worker serves its next queued batch (DRR order).
-    if (ev.worker >= 0) PumpWorker(ev.worker);
+    it = next;
   }
 }
 
-void AuditDaemon::ReapIdle() {
-  std::vector<int> stale;
-  for (const auto& [fd, conn] : conns_) {
-    const double idle_ms =
-        SecondsSince(conn->last_activity) * 1000.0;
-    if (idle_ms > static_cast<double>(options_.idle_timeout_ms)) {
-      stale.push_back(fd);
+void AuditDaemon::ReapIdle(Loop& loop) {
+  const auto idle_timeout =
+      std::chrono::milliseconds(options_.idle_timeout_ms);
+  const Clock::time_point now = Clock::now();
+  for (auto it = loop.conns.begin(); it != loop.conns.end();) {
+    const auto next = std::next(it);
+    if (now - it->second->last_activity > idle_timeout) {
+      stats_.idle_reaped.fetch_add(1, std::memory_order_relaxed);
+      // A reaped peer is not a protocol failure: sessions checkpoint and
+      // detach, and the client resumes on reconnect.
+      CloseConnection(loop, it->first, Status::OK());
     }
-  }
-  for (int fd : stale) {
-    stats_.idle_reaped.fetch_add(1, std::memory_order_relaxed);
-    // A reaped peer is not a protocol failure: sessions checkpoint and
-    // detach, and the client resumes on reconnect.
-    CloseConnection(fd, Status::OK());
+    it = next;
   }
 }
 
-void AuditDaemon::DoDrain() {
-  // Stop admitting: the listener closes (new connects are refused by the
-  // kernel), live clients get a Drain notice, pending batches are shed.
-  listener_.Reset();
+void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
+  loop.fds.clear();
+  loop.polled.clear();
+  loop.fds.push_back({loop.wake_read.get(), POLLIN, 0});
+  const bool listening = loop.front && listener_.valid();
+  if (listening) loop.fds.push_back({listener_.get(), POLLIN, 0});
+  const size_t first_conn = loop.fds.size();
+  for (const auto& [fd, conn] : loop.conns) {
+    short events = POLLIN;
+    if (conn->outbox_off < conn->outbox.size()) events |= POLLOUT;
+    loop.fds.push_back({fd, events, 0});
+    loop.polled.push_back(fd);
+  }
+  int ready = poll(loop.fds.data(), loop.fds.size(), timeout_ms);
+  if (FailpointHit("net.poll")) {
+    stats_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+    ready = -1;
+    errno = EIO;
+  }
+  if (ready < 0 && errno != EINTR) {
+    // A loop that cannot poll cannot serve its connections. It takes the
+    // normal drain path — and so does every other loop — so the epilogue
+    // only ever runs once every loop has stopped at a batch boundary.
+    std::fprintf(stderr, "[kgaccd] poll failed: %s; draining\n",
+                 std::strerror(errno));
+    RequestDrain();
+    return;
+  }
+  if (ready <= 0) return;
+
+  if ((loop.fds[0].revents & POLLIN) != 0) {
+    // One read clears a backlog of wakeups; a larger one stays readable
+    // and the next poll returns at once.
+    uint8_t scratch[256];
+    (void)!read(loop.wake_read.get(), scratch, sizeof(scratch));
+    AdoptInbox(loop);
+  }
+  if (listening && (loop.fds[1].revents & POLLIN) != 0) DoAccept();
+  for (size_t i = 0; i < loop.polled.size(); ++i) {
+    const short revents = loop.fds[first_conn + i].revents;
+    if (revents == 0) continue;
+    const int fd = loop.polled[i];
+    auto it = loop.conns.find(fd);
+    if (it == loop.conns.end()) continue;  // closed by an earlier handler
+    if ((revents & (POLLERR | POLLHUP)) != 0) {
+      CloseConnection(loop, fd, Status::OK());
+      continue;
+    }
+    if ((revents & POLLIN) != 0) (void)ServiceReadable(loop, *it->second);
+  }
+}
+
+void AuditDaemon::DrainLoop(Loop& loop) {
+  AdoptInbox(loop);
   DrainMsg notice;
   notice.message = "daemon draining; sessions checkpointed, reconnect to "
                    "resume";
-  for (auto& [fd, conn] : conns_) {
-    QueueFrame(*conn, FrameOf(MessageType::kDrain, EncodeDrain, notice));
+  for (auto& [fd, conn] : loop.conns) {
+    if (conn->close_after_flush) continue;  // Already on its way out.
+    AppendFrameOf(MessageType::kDrain, EncodeDrain, notice, &conn->outbox);
     conn->close_after_flush = true;
   }
-  for (DrrScheduler& sched : worker_sched_) sched.Clear();
-  tenant_inflight_steps_.clear();
+  loop.sched.Clear();
 }
 
-void AuditDaemon::PollLoop() {
-  bool drain_started = false;
-  while (true) {
-    if (draining() && !drain_started) {
-      drain_started = true;
-      DoDrain();
-    }
-    if (drain_started) {
-      bool any_busy = false;
-      for (const auto& [id, session] : sessions_) {
-        if (session->busy) any_busy = true;
-      }
-      bool events_pending;
-      {
-        std::lock_guard<std::mutex> lock(events_mu_);
-        events_pending = !events_.empty();
-      }
-      if (!any_busy && !events_pending) break;
-    }
+void AuditDaemon::Serve(Loop& loop) {
+  while (!draining()) {
+    // Block only when no batch is queued; otherwise just collect arrivals
+    // so the DRR pick below sees every tenant's backlog.
+    PollOnce(loop, loop.sched.empty() ? kIdlePollMs : 0);
+    RunNextBatch(loop);
+    SettleConnections(loop);
+    ReapIdle(loop);
+  }
+  // Stop admitting: the listener closes (new connects are refused by the
+  // kernel), live clients get a Drain notice, queued batches are shed.
+  if (loop.front) listener_.Reset();
+  DrainLoop(loop);
+}
 
-    std::vector<pollfd> fds;
-    fds.push_back({wake_read_.get(), POLLIN, 0});
-    if (listener_.valid()) fds.push_back({listener_.get(), POLLIN, 0});
-    std::vector<int> conn_fds;
-    for (const auto& [fd, conn] : conns_) {
-      short events = POLLIN;
-      if (conn->outbox_off < conn->outbox.size()) events |= POLLOUT;
-      fds.push_back({fd, events, 0});
-      conn_fds.push_back(fd);
-    }
-    const int timeout_ms = drain_started ? 10 : 100;
-    const int ready = poll(fds.data(), fds.size(), timeout_ms);
-    if (ready < 0 && errno != EINTR) break;  // poll itself failed; bail out
-
-    // Drain the wake pipe (level-triggered; one read clears any backlog).
-    uint8_t scratch[256];
-    while (read(wake_read_.get(), scratch, sizeof(scratch)) > 0) {
-    }
-
-    DrainEvents();
-
-    size_t index = 1;
-    if (listener_.valid()) {
-      if ((fds[index].revents & POLLIN) != 0) DoAccept();
-      ++index;
-    }
-    for (size_t i = 0; i < conn_fds.size(); ++i) {
-      const int fd = conn_fds[i];
-      const short revents = fds[index + i].revents;
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // closed by an earlier handler
-      Connection& conn = *it->second;
-      if ((revents & (POLLERR | POLLHUP)) != 0) {
-        CloseConnection(fd, Status::OK());
-        continue;
-      }
-      if ((revents & POLLIN) != 0 && !ServiceReadable(conn)) continue;
-      if (!FlushOutbox(conn)) {
-        CloseConnection(fd, Status::IoError("connection write failed"));
-        continue;
-      }
-      if (conn.close_after_flush &&
-          conn.outbox_off >= conn.outbox.size()) {
-        CloseConnection(fd, Status::OK());
-      }
-    }
-    if (!drain_started) ReapIdle();
+void AuditDaemon::ListenerMain() {
+  Serve(*front_);
+  for (auto& loop : loops_) {
+    loop->thread.join();
+    // A connection handed over as its loop exited still gets its notice.
+    DrainLoop(*loop);
   }
 
   // Drain epilogue: every live session checkpoints, then every per-KG
@@ -1134,9 +1139,7 @@ void AuditDaemon::PollLoop() {
   // the newest frames short of durable, so it is counted (`settle_failed=`)
   // and logged. A compaction failure is harmless — whichever log it left
   // installed is complete and durable — and is only logged.
-  for (auto& [id, session] : sessions_) {
-    if (!session->finished && !session->failed) CheckpointSession(*session);
-  }
+  for (auto& [id, session] : sessions_) CheckpointSession(*session);
   const auto settle = [this](const std::string& what, auto& log) {
     const auto report = [&](const char* op, const Status& status,
                             bool counted) {
@@ -1155,10 +1158,14 @@ void AuditDaemon::PollLoop() {
   // Same settle for the tenant ledger: fsync the balances and fold each
   // tenant's history to its single live frame.
   if (ledger_ != nullptr) settle("tenant ledger", *ledger_);
-  for (auto& [fd, conn] : conns_) {
-    (void)FlushOutbox(*conn);
-  }
-  conns_.clear();
+  // The Drain notices go out only now, so what they say — sessions
+  // checkpointed — holds when they arrive.
+  const auto close_all = [this](Loop& loop) {
+    for (auto& [fd, conn] : loop.conns) (void)FlushOutbox(*conn);
+    loop.conns.clear();
+  };
+  close_all(*front_);
+  for (auto& loop : loops_) close_all(*loop);
   sessions_.clear();
 }
 

@@ -2,9 +2,7 @@
 #define KGACC_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,15 +20,22 @@
 #include "kgacc/store/checkpoint.h"
 #include "kgacc/tenant/drr.h"
 #include "kgacc/tenant/tenant.h"
-#include "kgacc/util/thread_pool.h"
 
 /// \file server.h
 /// `AuditDaemon` — the crash-tolerant networked audit service behind the
-/// `kgaccd` tool. One poll()-loop thread owns every socket; audit steps
-/// execute on a `ThreadPool` sharded by audit id (`SubmitTo(audit_id %
-/// workers)`, the shard-per-core discipline of `EvaluationService`);
-/// workers hand encoded reply frames back to the poll thread through an
-/// event queue + self-pipe, so sockets are never touched off-thread.
+/// `kgaccd` tool. Dispatch is run-to-completion, as in IX (Belay et al.,
+/// OSDI '14): N event loops each poll only the connections they own, read
+/// their `StepBatch` frames into a per-loop weighted DRR queue, run one
+/// batch per pick on the same thread, and write the `IntervalUpdate` /
+/// `AuditReport` frames straight into that connection's outbox. A step
+/// never crosses threads inside the daemon. A listener thread accepts,
+/// answers Hello, and admits a connection's first OpenAudit; it then hands
+/// the connection to loop `audit_id % loops`. Later audits on that
+/// connection, and a detached session it re-adopts, run on its loop. The
+/// state loops share — the session registry, the per-KG stores and the
+/// tenants' in-flight step account — sits behind one registry mutex, taken
+/// at open, close and detach, and per batch only for tenants with an
+/// in-flight step cap.
 ///
 /// Robustness model, in one paragraph: the *session* (audit id + durable
 /// `AnnotationStore` file) is the unit that survives; the *connection* is
@@ -43,13 +48,15 @@
 /// control), never a silent hang; budget and wall-clock exhaustion are
 /// explicit `Error` frames (`kDeadlineExceeded`); a degraded store demotes
 /// the session to read-only persistence and tells the client; a sticky WAL
-/// failure kills the session, never the daemon.
+/// failure kills the session, never the daemon; a failing `poll()` drains
+/// the daemon like SIGTERM does.
 ///
 /// Fault-injection sites (`util/failpoint`): `net.accept` drops a freshly
 /// accepted connection, `net.read.torn` flips one bit in a received chunk
 /// (the frame CRC catches it downstream), `net.write` fails a connection
-/// flush, `net.heartbeat.drop` suppresses one HeartbeatAck. All four map
-/// injected faults to client-visible statuses and robustness counters.
+/// flush, `net.heartbeat.drop` suppresses one HeartbeatAck, and `net.poll`
+/// fails one loop's `poll()` (the daemon drains). All five map injected
+/// faults to client-visible statuses and robustness counters.
 
 namespace kgacc {
 
@@ -66,7 +73,8 @@ class AuditDaemon {
     /// bought by any audit serve every later audit of that KG, and
     /// concurrent sessions append through the store's group-commit queue.
     std::string store_dir;
-    /// Step-execution workers (0 = hardware concurrency).
+    /// Event loops, each owning its connections and running their steps
+    /// (0 = hardware concurrency).
     int workers = 0;
     /// Admission control: live (unfinished) sessions the daemon holds.
     size_t max_sessions = 64;
@@ -160,15 +168,15 @@ class AuditDaemon {
   /// daemon.
   void RegisterKg(const std::string& name, const KnowledgeGraph* kg);
 
-  /// Binds the listener, spawns the worker pool and the poll thread.
+  /// Binds the listener, spawns the event loops and the listener thread.
   Status Start();
 
   /// Initiates graceful drain: stop admitting, notify clients, checkpoint
-  /// every live session, flush stores, exit the poll loop. Callable from a
-  /// signal handler path (sets a flag and writes the wake pipe).
+  /// every live session, flush stores, exit the loops. Callable from a
+  /// signal handler path (sets a flag and writes the wake pipes).
   void RequestDrain();
 
-  /// Blocks until the poll loop has exited (i.e. drain completed).
+  /// Blocks until the listener thread has exited (i.e. drain completed).
   void Wait();
 
   /// RequestDrain + Wait.
@@ -192,56 +200,54 @@ class AuditDaemon {
  private:
   struct Connection;
   struct Session;
+  struct Loop;
 
-  /// A worker-to-poll-thread handoff: frames to queue on a connection
-  /// and/or session lifecycle transitions to apply.
-  struct Event {
-    int conn_fd = -1;
-    uint64_t conn_gen = 0;
-    uint64_t audit_id = 0;
-    /// Worker whose DRR slot this batch held (-1 = none); freed on
-    /// batch_done so the poll thread can pump the next queued batch.
-    int worker = -1;
-    /// Steps this batch reserved against its tenant's inflight cap.
-    uint64_t steps = 0;
-    /// Tenant the reservation belongs to.
-    std::string tenant;
-    /// Encoded frames to append to the connection's outbox.
-    std::vector<uint8_t> frames;
-    /// The batch the worker was running completed (dispatch next).
-    bool batch_done = false;
-    /// The session sticky-failed (evict after flushing frames).
-    bool session_failed = false;
-    /// The session finished (report already in `frames`).
-    bool session_finished = false;
-  };
-
-  void PollLoop();
+  /// The listener thread: serves the front loop (accept, Hello, first
+  /// OpenAudit), then joins the step loops and runs the drain epilogue.
+  void ListenerMain();
+  /// One event loop's life: poll, read, run one DRR-picked batch, flush —
+  /// until drain, then notify its peers and shed its queue.
+  void Serve(Loop& loop);
+  /// One poll() over the loop's descriptors (blocking for at most
+  /// `timeout_ms`), then accepts, adopts handed-over connections and reads
+  /// every readable connection.
+  void PollOnce(Loop& loop, int timeout_ms);
   void DoAccept();
-  /// Reads whatever the socket has, feeds the assembler, dispatches every
-  /// complete frame. Returns false when the connection must be closed.
-  bool ServiceReadable(Connection& conn);
-  bool HandleFrame(Connection& conn, const NetFrame& frame);
-  void HandleOpenAudit(Connection& conn, const OpenAuditMsg& msg);
-  void HandleStepBatch(Connection& conn, const StepBatchMsg& msg);
+  /// Reads whatever the socket has and dispatches every complete frame.
+  /// Returns false when the connection was closed.
+  bool ServiceReadable(Loop& loop, Connection& conn);
+  /// Dispatches the assembler's complete frames; the front loop stops at
+  /// the first attached audit (the rest travel with the connection to its
+  /// loop). Returns false when the connection was closed.
+  bool DispatchFrames(Loop& loop, Connection& conn);
+  bool HandleFrame(Loop& loop, Connection& conn, const NetFrame& frame);
+  void HandleOpenAudit(Loop& loop, Connection& conn, const OpenAuditMsg& msg);
+  void HandleStepBatch(Loop& loop, Connection& conn, const StepBatchMsg& msg);
   /// Answers an open or re-adoption with the session's AuditOpened frame.
   void QueueAuditOpened(Connection& conn, const Session& session,
                         bool resumed);
-  /// Runs one batch of steps on a pool worker; posts events back. The
-  /// session pointer stays valid for the batch's duration: sessions are
-  /// only evicted by the poll thread after the batch_done event.
-  void RunBatch(Session* session, uint64_t steps, int conn_fd,
-                uint64_t conn_gen, int worker);
-  /// If `worker` is idle, pops its DRR scheduler and dispatches the next
-  /// queued batch (weighted fairness across tenants).
-  void PumpWorker(int worker);
-  /// Removes a session's still-queued batches from its worker's scheduler,
+  /// Pops the loop's DRR queue once and runs that batch to completion; its
+  /// reply frames land in the connection's outbox.
+  void RunNextBatch(Loop& loop);
+  /// Runs up to `steps` steps, appending the reply frames to `out`. True
+  /// when the session ended (finished or failed).
+  bool RunBatch(Session& session, uint64_t steps, std::vector<uint8_t>* out);
+  /// Takes `steps` against the tenant's in-flight cap; false = over it.
+  bool ReserveInflightSteps(const Session& session, uint64_t steps);
+  void ReleaseInflightSteps(const Session& session, uint64_t steps);
+  /// Removes a session's still-queued batches from its loop's scheduler,
   /// returning the admission slots (connection inflight counter, tenant
   /// inflight steps) they held.
-  void DropQueuedBatches(Session& session);
+  void DropQueuedBatches(Loop& loop, Session& session);
+  /// Flushes outboxes, closes finished connections and, on the front loop,
+  /// hands connections with an attached audit to their loop.
+  void SettleConnections(Loop& loop);
+  /// Moves a front-loop connection to loop `audit_id % loops`.
+  void HandOff(Loop& front, int fd);
+  /// Takes ownership of the connections the listener handed over.
+  void AdoptInbox(Loop& loop);
   /// Flushes as much outbox as the socket accepts. False = failed.
   bool FlushOutbox(Connection& conn);
-  void QueueFrame(Connection& conn, std::vector<uint8_t> frame);
   void QueueError(Connection& conn, StatusCode code, uint64_t audit_id,
                   bool fatal_to_session, bool fatal_to_connection,
                   const std::string& message);
@@ -252,20 +258,24 @@ class AuditDaemon {
                           const std::string& quota, uint64_t remaining,
                           const std::string& message);
   /// Closes a connection, detaching (and checkpointing) its sessions.
-  void CloseConnection(int fd, const Status& cause);
-  /// Detaches one session from its connection; checkpoints unless busy.
-  void DetachSession(Session& session);
-  void DrainEvents();
-  void ReapIdle();
-  void WakePoll();
-  void DoDrain();
+  void CloseConnection(Loop& loop, int fd, const Status& cause);
+  /// Checkpoints a session, then detaches it from its connection; from
+  /// then on any loop may re-adopt it.
+  void DetachSession(Loop& loop, Session& session);
+  /// Drops a finished or failed session from its connection, its loop and
+  /// the registry.
+  void EndSession(Loop& loop, Session& session);
+  void ReapIdle(Loop& loop);
+  /// Queues a Drain notice on every connection of the loop (adopting any
+  /// still in its inbox) and sheds its DRR queue.
+  void DrainLoop(Loop& loop);
   /// The shared annotation store for a registered KG, opened on first use
   /// (`store_dir/kg_<sanitized-name>-<crc32-of-raw-name>.wal`; the hash
   /// suffix keeps distinct names from aliasing one file) and kept for the
-  /// daemon's life.
+  /// daemon's life. Caller holds `registry_mu_`.
   Result<std::shared_ptr<AnnotationStore>> StoreForKg(const std::string& name);
-  /// Builds the final AuditReport frame for a finished session.
-  std::vector<uint8_t> BuildReportFrame(Session& session);
+  /// Appends the final AuditReport frame for a finished session.
+  void AppendReportFrame(Session& session, std::vector<uint8_t>* out);
   /// The tenant's oracle spend as the budget gate sees it: durable ledger
   /// balance plus this session's not-yet-charged calls.
   uint64_t OracleSpend(const Session& session) const;
@@ -277,46 +287,40 @@ class AuditDaemon {
   Options options_;
   Stats stats_;
   std::map<std::string, const KnowledgeGraph*> kgs_;
-  /// One shared store per KG name (poll-thread-opened; the store itself is
-  /// thread-safe, so worker-side sessions append concurrently).
+
+  OwnedFd listener_;
+  uint16_t port_ = 0;
+  /// The listener thread's loop: accepted connections live here until
+  /// their first audit attaches.
+  std::unique_ptr<Loop> front_;
+  /// The step loops, one thread each; a connection's home is
+  /// `loops_[first audit_id % loops_.size()]`.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::thread listener_thread_;
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> started_{false};
+  /// Open connections across all loops (admission control).
+  std::atomic<size_t> live_connections_{0};
+
+  /// Durable per-tenant spend; opened in Start() at
+  /// `store_dir/tenant_ledger.wal`. Thread-safe — loops charge it
+  /// directly from RunBatch.
+  std::unique_ptr<QuotaLedger> ledger_;
+
+  /// Guards the state loops share: the session registry, every session's
+  /// `conn` link, the stores and the tenant in-flight account.
+  std::mutex registry_mu_;
+  std::map<uint64_t, std::unique_ptr<Session>> sessions_;
+  /// One shared store per KG name (the store itself is thread-safe, so
+  /// sessions on different loops append concurrently).
   std::map<std::string, std::shared_ptr<AnnotationStore>> stores_;
   /// Resolved store path -> raw KG name that owns it; `StoreForKg` refuses
   /// a second name resolving to an already-claimed path (two stores over
   /// one WAL would corrupt it).
   std::map<std::string, std::string> store_paths_;
-
-  OwnedFd listener_;
-  uint16_t port_ = 0;
-  OwnedFd wake_read_;
-  OwnedFd wake_write_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread poll_thread_;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
-
-  /// Durable per-tenant spend; opened in Start() at
-  /// `store_dir/tenant_ledger.wal`. Thread-safe — workers charge it
-  /// directly from RunBatch.
-  std::unique_ptr<QuotaLedger> ledger_;
-
-  /// Poll-thread-owned state (workers never touch it).
-  std::map<int, std::unique_ptr<Connection>> conns_;
-  std::map<uint64_t, std::unique_ptr<Session>> sessions_;
-  uint64_t next_conn_gen_ = 1;
-  /// Per-worker weighted DRR queues replacing FIFO dispatch: batches queue
-  /// here (cost = steps) and `PumpWorker` serves them one-at-a-time per
-  /// worker in tenant-weighted shares. Poll-thread-owned.
-  std::vector<DrrScheduler> worker_sched_;
-  /// 1 while a batch is executing on that worker (DRR serves the next item
-  /// only when the slot frees — the fairness grain is one batch).
-  std::vector<uint8_t> worker_busy_;
-  /// Steps queued or running per tenant, against
+  /// Steps queued or running per capped tenant, against
   /// `TenantConfig::max_inflight_steps` (breach is a transient Busy).
   std::map<std::string, uint64_t> tenant_inflight_steps_;
-
-  /// Worker -> poll thread event queue.
-  std::mutex events_mu_;
-  std::deque<Event> events_;
 };
 
 }  // namespace kgacc

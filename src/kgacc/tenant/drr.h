@@ -9,8 +9,8 @@
 
 /// \file drr.h
 /// Weighted deficit-round-robin over per-tenant FIFO queues — the fairness
-/// half of the tenant subsystem (quotas live in tenant.h). Replaces the
-/// daemon's per-worker FIFO dispatch: a heavy tenant's backlog no longer
+/// half of the tenant subsystem (quotas live in tenant.h). Replaces
+/// per-loop FIFO dispatch in the daemon: a heavy tenant's backlog no longer
 /// delays a light tenant's next batch by the whole backlog, only by at
 /// most one batch in flight plus the rotation.
 ///
@@ -25,8 +25,9 @@
 /// batch); weighted long-run shares converge to weight ratios whenever
 /// every tenant stays backlogged.
 ///
-/// Not thread-safe: the daemon instantiates one scheduler per worker and
-/// drives it from the poll thread only.
+/// Not thread-safe: the daemon gives each event loop its own scheduler,
+/// which only that loop's thread fills and pops (run-to-completion: the
+/// loop that reads a batch also runs it).
 
 namespace kgacc {
 

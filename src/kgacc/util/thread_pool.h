@@ -23,7 +23,7 @@
 /// task, not once per audit.
 ///
 /// `EvaluationService` routes whole pinning groups to their home workers
-/// via `SubmitTo`; `AuditDaemon` pins each audit's batches the same way.
+/// via `SubmitTo`.
 
 namespace kgacc {
 

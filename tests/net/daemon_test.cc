@@ -1,9 +1,11 @@
 #include "kgacc/net/server.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -144,6 +146,67 @@ class TestPeer {
   OwnedFd fd_;
   FrameAssembler assembler_{kDefaultMaxFrameBytes};
 };
+
+/// Drives every listed audit open on `peer`'s connection to its report,
+/// one batch in flight per audit, interleaved on the one connection.
+std::map<uint64_t, AuditReportMsg> RunToReports(
+    TestPeer& peer, const std::vector<uint64_t>& audit_ids) {
+  constexpr uint64_t kBatchSteps = 3;
+  std::map<uint64_t, AuditReportMsg> reports;
+  std::map<uint64_t, uint64_t> updates_due;
+  std::map<uint64_t, bool> converged;  // The report is on its way.
+  while (reports.size() < audit_ids.size()) {
+    for (const uint64_t id : audit_ids) {
+      if (converged[id] || updates_due[id] != 0) continue;
+      const StepBatchMsg batch{id, kBatchSteps};
+      EXPECT_TRUE(
+          peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+              .ok());
+      updates_due[id] = kBatchSteps;
+    }
+    auto frame = peer.Read();
+    if (!frame.ok()) {
+      ADD_FAILURE() << frame.status().ToString();
+      return reports;
+    }
+    const std::span<const uint8_t> payload(frame->payload.data(),
+                                           frame->payload.size());
+    if (frame->type == static_cast<uint8_t>(MessageType::kIntervalUpdate)) {
+      auto update = DecodeIntervalUpdate(payload);
+      EXPECT_TRUE(update.ok());
+      if (update.ok() && updates_due[update->audit_id] > 0) {
+        --updates_due[update->audit_id];
+      }
+      if (update.ok() && update->done) converged[update->audit_id] = true;
+    } else if (frame->type ==
+               static_cast<uint8_t>(MessageType::kAuditReport)) {
+      auto report = DecodeAuditReport(payload);
+      EXPECT_TRUE(report.ok());
+      if (report.ok()) reports.emplace(report->audit_id, *report);
+    } else {
+      auto error = DecodeError(payload);
+      ADD_FAILURE() << "unexpected frame " << MessageTypeName(frame->type)
+                    << (error.ok() ? ": " + error->message : "");
+      return reports;
+    }
+  }
+  return reports;
+}
+
+/// Opens `open` on the peer's connection and expects AuditOpened.
+AuditOpenedMsg OpenOn(TestPeer& peer, const OpenAuditMsg& open) {
+  EXPECT_TRUE(
+      peer.Send(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open)).ok());
+  auto frame = peer.Read();
+  EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+  if (!frame.ok()) return {};
+  EXPECT_EQ(frame->type, static_cast<uint8_t>(MessageType::kAuditOpened))
+      << MessageTypeName(frame->type);
+  auto opened =
+      DecodeAuditOpened({frame->payload.data(), frame->payload.size()});
+  EXPECT_TRUE(opened.ok());
+  return opened.ok() ? *opened : AuditOpenedMsg{};
+}
 
 TEST(AuditDaemonTest, HappyPathMatchesLocalRunByteForByte) {
   const KnowledgeGraph kg = TestKg();
@@ -654,6 +717,204 @@ TEST(AuditDaemonTest, DrainSettleFailuresAreCountedAndResumeStaysExact) {
   EXPECT_TRUE(client.stats().opened.resumed);
   EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
             RenderedJson("kg", "SRS", reference));
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, PollFailureDrainsCleanlyAndResumesByteIdentical) {
+  // A loop whose poll() fails takes the normal drain path: every loop
+  // stops at a batch boundary before the epilogue checkpoints and settles,
+  // so the daemon exits cleanly and a restart resumes on the reference.
+  const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  const std::string dir = TempDir("poll_fail");
+  {
+    AuditDaemon daemon(DaemonOptions(dir));
+    daemon.RegisterKg("kg", &kg);
+    ASSERT_TRUE(daemon.Start().ok());
+    TestPeer peer;
+    ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+    OpenAuditMsg open;
+    open.audit_id = 16;
+    open.kg_name = "kg";
+    OpenOn(peer, open);
+    StepBatchMsg batch;
+    batch.audit_id = 16;
+    batch.steps = 2;
+    ASSERT_TRUE(
+        peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch))
+            .ok());
+    for (int i = 0; i < 2; ++i) {
+      auto update = peer.Read();
+      ASSERT_TRUE(update.ok()) << update.status().ToString();
+      ASSERT_EQ(update->type,
+                static_cast<uint8_t>(MessageType::kIntervalUpdate));
+    }
+
+    ScopedFailpoints armed("net.poll=once");
+    ASSERT_TRUE(armed.status().ok());
+    // No RequestDrain: the failed poll alone must bring the daemon down.
+    daemon.Wait();
+    EXPECT_TRUE(daemon.draining());
+    EXPECT_GE(daemon.stats().faults_injected.load(), 1u);
+    EXPECT_EQ(daemon.stats().checkpoint_failures.load(), 0u);
+    EXPECT_EQ(daemon.stats().settle_failures.load(), 0u);
+    bool saw_drain = false;
+    for (int i = 0; i < 20; ++i) {
+      auto frame = peer.Read();
+      if (!frame.ok()) break;
+      saw_drain |= frame->type == static_cast<uint8_t>(MessageType::kDrain);
+    }
+    EXPECT_TRUE(saw_drain);
+  }
+
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+  OpenAuditMsg open;
+  open.audit_id = 16;
+  open.kg_name = "kg";
+  AuditClient client(ClientOptions(daemon.port()));
+  auto report = client.RunAudit(open);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(client.stats().opened.resumed);
+  EXPECT_EQ(client.stats().opened.start_step, 2u);
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", reference));
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, ANetworkedStepCostsAtMostTwoContextSwitches) {
+  // Run-to-completion: the loop that reads a StepBatch runs it and writes
+  // the reply, so a step blocks two threads once each (the client in recv,
+  // the loop in poll) — two voluntary context switches. A handoff to a
+  // worker thread and back would add two more.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("ctx_switches");
+  auto options = DaemonOptions(dir);
+  options.workers = 1;
+  options.sync_checkpoints = false;  // No fsync wait inside a step.
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  OpenAuditMsg open;
+  open.audit_id = 17;
+  open.kg_name = "kg";
+  open.epsilon = 0.01;  // Hundreds of 10-triple steps.
+  open.checkpoint_every = 1u << 20;
+  auto client_options = ClientOptions(daemon.port());
+  client_options.batch_steps = 1;
+  AuditClient client(client_options);
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  auto report = client.RunAudit(open);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const uint64_t steps = client.stats().updates_received;
+  ASSERT_GE(steps, 200u);
+  const double switches_per_step =
+      static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) /
+      static_cast<double>(steps);
+  std::printf("%llu steps, %.2f voluntary context switches per step\n",
+              static_cast<unsigned long long>(steps), switches_per_step);
+  EXPECT_LE(switches_per_step, 2.5);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, SessionDetachedOnOneLoopIsReadoptedOnAnother) {
+  // Audit 1 opens on loop 1 and detaches there; a connection homed on
+  // loop 2 (by its first audit, 2) re-adopts it and runs it to the end.
+  const KnowledgeGraph kg = TestKg();
+  const std::string reference =
+      RenderedJson("kg", "SRS", ReferenceRun(kg, 42));
+  const std::string dir = TempDir("readopt_cross_loop");
+  auto options = DaemonOptions(dir);
+  options.workers = 4;
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  OpenAuditMsg first;
+  first.audit_id = 1;
+  first.kg_name = "kg";
+  TestPeer origin;
+  ASSERT_TRUE(origin.Connect(daemon.port()).ok());
+  OpenOn(origin, first);
+  ASSERT_TRUE(origin
+                  .Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch,
+                                StepBatchMsg{1, 2}))
+                  .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto update = origin.Read();
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    ASSERT_EQ(update->type,
+              static_cast<uint8_t>(MessageType::kIntervalUpdate));
+  }
+  // Detach, and fence on a heartbeat: its ack leaves the same loop after
+  // the detach did.
+  ASSERT_TRUE(origin
+                  .Send(FrameOf(MessageType::kCloseAudit, EncodeCloseAudit,
+                                CloseAuditMsg{1}))
+                  .ok());
+  ASSERT_TRUE(origin
+                  .Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat,
+                                HeartbeatMsg{5}))
+                  .ok());
+  auto ack = origin.Read();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
+
+  TestPeer adopter;
+  ASSERT_TRUE(adopter.Connect(daemon.port()).ok());
+  OpenAuditMsg second = first;
+  second.audit_id = 2;
+  EXPECT_FALSE(OpenOn(adopter, second).resumed);
+  const AuditOpenedMsg readopted = OpenOn(adopter, first);
+  EXPECT_TRUE(readopted.resumed);
+  EXPECT_EQ(readopted.start_step, 2u);
+
+  const auto reports = RunToReports(adopter, {1, 2});
+  ASSERT_EQ(reports.size(), 2u);
+  for (const auto& [id, report] : reports) {
+    EXPECT_EQ(RenderedJson("kg", report.design_name, report.result),
+              reference)
+        << "audit " << id;
+  }
+  EXPECT_EQ(daemon.stats().sessions_resumed.load(), 1u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, OneConnectionRunsAuditsOfDifferentLoopsOnItsOwn) {
+  // Audits 1 and 2 map to different loops; both run on the loop of the
+  // connection that opened them, interleaved, each on its own reference.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("two_audits_one_conn");
+  auto options = DaemonOptions(dir);
+  options.workers = 4;
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+  OpenAuditMsg open;
+  open.kg_name = "kg";
+  open.audit_id = 1;
+  open.seed = 42;
+  OpenOn(peer, open);
+  open.audit_id = 2;
+  open.seed = 7;
+  OpenOn(peer, open);
+
+  const auto reports = RunToReports(peer, {1, 2});
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(RenderedJson("kg", reports.at(1).design_name,
+                         reports.at(1).result),
+            RenderedJson("kg", "SRS", ReferenceRun(kg, 42)));
+  EXPECT_EQ(RenderedJson("kg", reports.at(2).design_name,
+                         reports.at(2).result),
+            RenderedJson("kg", "SRS", ReferenceRun(kg, 7)));
   daemon.Stop();
 }
 

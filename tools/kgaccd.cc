@@ -41,8 +41,9 @@ using namespace kgacc;
 
 AuditDaemon* g_daemon = nullptr;
 
-// Signal path: an atomic flag flip plus one write() on the wake pipe —
-// both async-signal-safe. The poll loop does the actual drain.
+// Signal path: an atomic flag flip plus one write() on each event loop's
+// wake pipe — all async-signal-safe. The loops and the listener thread do
+// the actual drain.
 void HandleDrainSignal(int) {
   if (g_daemon != nullptr) g_daemon->RequestDrain();
 }
@@ -59,7 +60,9 @@ ArgParser BuildParser() {
       .AddFlag("port-file",
                "write the bound port here once listening (for scripts "
                "using --port=0)")
-      .AddFlag("workers", "step-execution workers (default: hardware)")
+      .AddFlag("workers",
+               "event loops, each owning its connections and running their "
+               "steps (default: hardware)")
       .AddFlag("max-sessions", "admission: live session cap (default 64)")
       .AddFlag("max-inflight",
                "admission: in-flight step batches per connection "
