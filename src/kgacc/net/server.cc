@@ -127,10 +127,8 @@ struct AuditDaemon::Loop {
   /// steps): one batch runs per pick, so a heavy tenant's backlog cannot
   /// starve a light tenant sharing the loop.
   DrrScheduler sched;
-  /// poll() arguments, reused across iterations; `polled[i]` is the
-  /// connection fd behind `fds[first_conn + i]`.
+  /// poll() arguments, reused across iterations.
   std::vector<pollfd> fds;
-  std::vector<int> polled;
   /// Connections handed over by the listener thread, adopted on wake.
   std::mutex inbox_mu;
   std::vector<std::unique_ptr<Connection>> inbox;
@@ -1045,7 +1043,6 @@ void AuditDaemon::ReapIdle(Loop& loop) {
 
 void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
   loop.fds.clear();
-  loop.polled.clear();
   loop.fds.push_back({loop.wake_read.get(), POLLIN, 0});
   const bool listening = loop.front && listener_.valid();
   if (listening) loop.fds.push_back({listener_.get(), POLLIN, 0});
@@ -1054,7 +1051,6 @@ void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
     short events = POLLIN;
     if (conn->outbox_off < conn->outbox.size()) events |= POLLOUT;
     loop.fds.push_back({fd, events, 0});
-    loop.polled.push_back(fd);
   }
   int ready = poll(loop.fds.data(), loop.fds.size(), timeout_ms);
   if (FailpointHit("net.poll")) {
@@ -1081,10 +1077,10 @@ void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
     AdoptInbox(loop);
   }
   if (listening && (loop.fds[1].revents & POLLIN) != 0) DoAccept();
-  for (size_t i = 0; i < loop.polled.size(); ++i) {
-    const short revents = loop.fds[first_conn + i].revents;
+  for (size_t i = first_conn; i < loop.fds.size(); ++i) {
+    const short revents = loop.fds[i].revents;
     if (revents == 0) continue;
-    const int fd = loop.polled[i];
+    const int fd = loop.fds[i].fd;
     auto it = loop.conns.find(fd);
     if (it == loop.conns.end()) continue;  // closed by an earlier handler
     if ((revents & (POLLERR | POLLHUP)) != 0) {
