@@ -576,6 +576,22 @@ Result<std::shared_ptr<AnnotationStore>> AuditDaemon::StoreForKg(
   return shared;
 }
 
+Result<std::unique_ptr<Sampler>> AuditDaemon::SamplerFor(
+    const KnowledgeGraph& kg, const OpenAuditMsg& msg) {
+  const auto key = std::make_pair(msg.kg_name, msg.design);
+  auto it = sampler_prototypes_.find(key);
+  if (it == sampler_prototypes_.end() || it->second.twcs_m != msg.twcs_m) {
+    auto made =
+        MakeSamplerForDesign(kg, msg.design, static_cast<int>(msg.twcs_m));
+    if (!made.ok()) return made.status();
+    it = sampler_prototypes_
+             .insert_or_assign(key,
+                               SamplerPrototype{msg.twcs_m, std::move(*made)})
+             .first;
+  }
+  return it->second.sampler->Clone();
+}
+
 void AuditDaemon::HandleOpenAudit(Loop& loop, Connection& conn,
                                   const OpenAuditMsg& msg) {
   if (draining()) {
@@ -670,8 +686,7 @@ void AuditDaemon::HandleOpenAudit(Loop& loop, Connection& conn,
                method.status().message());
     return;
   }
-  auto sampler = MakeSamplerForDesign(*kg_it->second, msg.design,
-                                      static_cast<int>(msg.twcs_m));
+  auto sampler = SamplerFor(*kg_it->second, msg);
   if (!sampler.ok()) {
     QueueError(conn, sampler.status().code(), msg.audit_id, true, false,
                sampler.status().message());

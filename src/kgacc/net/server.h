@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kgacc/eval/runner.h"
@@ -274,6 +275,13 @@ class AuditDaemon {
   /// suffix keeps distinct names from aliasing one file) and kept for the
   /// daemon's life. Caller holds `registry_mu_`.
   Result<std::shared_ptr<AnnotationStore>> StoreForKg(const std::string& name);
+  /// A fresh sampler for an audit, cloned from the cached prototype for its
+  /// KG and design (rebuilt when the TWCS second-stage size changes). A
+  /// cluster design's PPS alias table is O(#clusters) to build and the
+  /// clones share it, so an open does not rebuild it. Caller holds
+  /// `registry_mu_`.
+  Result<std::unique_ptr<Sampler>> SamplerFor(const KnowledgeGraph& kg,
+                                              const OpenAuditMsg& msg);
   /// Appends the final AuditReport frame for a finished session.
   void AppendReportFrame(Session& session, std::vector<uint8_t>* out);
   /// The tenant's oracle spend as the budget gate sees it: durable ledger
@@ -318,6 +326,14 @@ class AuditDaemon {
   /// a second name resolving to an already-claimed path (two stores over
   /// one WAL would corrupt it).
   std::map<std::string, std::string> store_paths_;
+  /// (KG name, design) -> the prototype `SamplerFor` clones. Both parts of
+  /// the key are validated before insertion, so the map stays small.
+  struct SamplerPrototype {
+    uint64_t twcs_m = 0;
+    std::unique_ptr<Sampler> sampler;
+  };
+  std::map<std::pair<std::string, std::string>, SamplerPrototype>
+      sampler_prototypes_;
   /// Steps queued or running per capped tenant, against
   /// `TenantConfig::max_inflight_steps` (breach is a transient Busy).
   std::map<std::string, uint64_t> tenant_inflight_steps_;

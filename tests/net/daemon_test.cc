@@ -13,6 +13,7 @@
 #include "kgacc/eval/session.h"
 #include "kgacc/kg/knowledge_graph.h"
 #include "kgacc/net/client.h"
+#include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
 #include "kgacc/util/failpoint.h"
 
@@ -915,6 +916,45 @@ TEST(AuditDaemonTest, OneConnectionRunsAuditsOfDifferentLoopsOnItsOwn) {
   EXPECT_EQ(RenderedJson("kg", reports.at(2).design_name,
                          reports.at(2).result),
             RenderedJson("kg", "SRS", ReferenceRun(kg, 7)));
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, ClonedTwcsSamplersMatchFreshOnes) {
+  // Opens clone their sampler from one prototype per (KG, design); a
+  // different TWCS second-stage size rebuilds it. Every audit still lands
+  // on the report of a local run with a freshly built sampler.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("twcs_clones");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  struct Case {
+    uint64_t seed;
+    uint64_t twcs_m;
+  };
+  uint64_t audit_id = 20;
+  for (const Case c : {Case{42, 3}, Case{7, 3}, Case{42, 5}, Case{7, 3}}) {
+    OracleAnnotator oracle;
+    TwcsSampler sampler(kg, TwcsConfig{.second_stage_size =
+                                           static_cast<int>(c.twcs_m)});
+    EvaluationSession local(sampler, oracle, EvaluationConfig{}, c.seed);
+    auto reference = local.Run();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+    OpenAuditMsg open;
+    open.audit_id = audit_id++;
+    open.kg_name = "kg";
+    open.design = "twcs";
+    open.twcs_m = c.twcs_m;
+    open.seed = c.seed;
+    AuditClient client(ClientOptions(daemon.port()));
+    auto report = client.RunAudit(open);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+              RenderedJson("kg", "TWCS", *reference))
+        << "seed " << c.seed << " m " << c.twcs_m;
+  }
   daemon.Stop();
 }
 
