@@ -146,7 +146,7 @@ int main() {
     for (const uint64_t target : checkpoints) {
       // Advance (unmeasured) until the sample reaches the checkpoint.
       while (!session.done() &&
-             session.sample().num_triples() < target) {
+             session.accumulator().num_triples() < target) {
         const auto outcome = session.Step();
         if (!outcome.ok()) {
           std::fprintf(stderr, "[%s] step failed: %s\n", design.name,
@@ -158,7 +158,7 @@ int main() {
       // Measure a window of steps at this sample size.
       Checkpoint cp;
       cp.target_n = target;
-      cp.measured_at_n = session.sample().num_triples();
+      cp.measured_at_n = session.accumulator().num_triples();
       std::vector<double> step_us;
       step_us.reserve(window);
       ResetThreadHpdStats();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kgacc/util/check.h"
 #include "kgacc/util/codec.h"
 
 namespace kgacc {
@@ -15,8 +16,6 @@ void EstimatorAccumulator::SaveState(ByteWriter* w) const {
   w->PutDouble(sum_mu_);
   w->PutDouble(welford_mean_);
   w->PutDouble(welford_m2_);
-  w->PutVarint(sum_tau_);
-  w->PutVarint(sum_m_);
   w->PutVarint(sum_tau2_);
   w->PutVarint(sum_taum_);
   w->PutVarint(sum_m2_);
@@ -39,8 +38,6 @@ Status EstimatorAccumulator::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(sum_mu_, r->Double());
   KGACC_ASSIGN_OR_RETURN(welford_mean_, r->Double());
   KGACC_ASSIGN_OR_RETURN(welford_m2_, r->Double());
-  KGACC_ASSIGN_OR_RETURN(sum_tau_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(sum_m_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(sum_tau2_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(sum_taum_, r->Varint());
   KGACC_ASSIGN_OR_RETURN(sum_m2_, r->Varint());
@@ -56,6 +53,7 @@ Status EstimatorAccumulator::LoadState(ByteReader* r) {
 }
 
 void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
+  KGACC_DCHECK(unit.correct <= unit.drawn);
   n_ += unit.drawn;
   tau_ += unit.correct;
   ++units_;
@@ -76,8 +74,6 @@ void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
     case EstimatorKind::kRcs: {
       const uint64_t t = unit.correct;
       const uint64_t m = unit.drawn;
-      sum_tau_ += t;
-      sum_m_ += m;
       sum_tau2_ += t * t;
       sum_taum_ += t * m;
       sum_m2_ += m * m;
@@ -98,7 +94,7 @@ void EstimatorAccumulator::Add(const AnnotatedUnit& unit) {
 void EstimatorAccumulator::Reset() {
   n_ = tau_ = units_ = 0;
   sum_mu_ = welford_mean_ = welford_m2_ = 0.0;
-  sum_tau_ = sum_m_ = sum_tau2_ = sum_taum_ = sum_m2_ = 0;
+  sum_tau2_ = sum_taum_ = sum_m2_ = 0;
   n_h_.clear();
   tau_h_.clear();
 }
@@ -157,9 +153,8 @@ Result<AccuracyEstimate> EstimatorAccumulator::Estimate(
       est.n = n_;
       est.tau = tau_;
       est.num_units = units_;
-      const double sum_tau = static_cast<double>(sum_tau_);
-      const double sum_m = static_cast<double>(sum_m_);
-      const double ratio = sum_tau / sum_m;
+      const double ratio =
+          static_cast<double>(tau_) / static_cast<double>(n_);
       est.mu = ratio;
       if (units_ < 2) {
         est.variance = 0.25 / static_cast<double>(n_);
@@ -172,7 +167,7 @@ Result<AccuracyEstimate> EstimatorAccumulator::Estimate(
                    2.0 * ratio * static_cast<double>(sum_taum_) +
                    ratio * ratio * static_cast<double>(sum_m2_));
       const double nc = static_cast<double>(units_);
-      const double mbar = sum_m / nc;
+      const double mbar = static_cast<double>(n_) / nc;
       est.variance = ss / (nc * (nc - 1.0) * mbar * mbar);
       return est;
     }

@@ -15,15 +15,18 @@
 /// batch functions re-walk the whole accumulated sample, so a full audit
 /// costs O(n^2) in annotated units. `EstimatorAccumulator` ingests each
 /// `AnnotatedUnit` once and reproduces the same `AccuracyEstimate` from
-/// running sufficient statistics, making phase 3 O(batch) per step:
+/// running sufficient statistics, making phase 3 O(batch) per step. It is
+/// also the one owner of an audit's totals (n_S, tau_S, units): the
+/// session's stop rules and reports read them from here.
 ///
 /// * SRS          — running (n, tau).
 /// * Cluster      — running sum of per-cluster accuracies (arrival order,
 ///                  so the mean is bit-identical to the batch estimator)
 ///                  plus a Welford-style M2 for the between-cluster
 ///                  sum-of-squares.
-/// * RCS          — exact integer power sums (sum tau_i, sum M_i,
-///                  sum tau_i^2, sum tau_i M_i, sum M_i^2), from which the
+/// * RCS          — exact integer power sums (sum tau_i^2,
+///                  sum tau_i M_i, sum M_i^2) next to the totals
+///                  tau = sum tau_i and n = sum M_i, from which the
 ///                  linearized ratio variance sum (tau_i - r M_i)^2 is
 ///                  recoverable in O(1) at any ratio r.
 /// * Stratified   — per-stratum (n_h, tau_h) count arrays.
@@ -50,11 +53,6 @@ class EstimatorAccumulator {
 
   /// Folds one annotated unit into the running statistics. O(1).
   void Add(const AnnotatedUnit& unit);
-
-  /// Folds a whole batch. O(batch).
-  void AddBatch(const std::vector<AnnotatedUnit>& units) {
-    for (const AnnotatedUnit& unit : units) Add(unit);
-  }
 
   /// Restores the freshly constructed state.
   void Reset();
@@ -85,7 +83,8 @@ class EstimatorAccumulator {
  private:
   EstimatorKind kind_;
 
-  // Shared totals.
+  // The audit's totals, read by every estimator kind: n = sum M_i and
+  // tau = sum tau_i are also the RCS ratio's numerator and denominator.
   uint64_t n_ = 0;
   uint64_t tau_ = 0;
   uint64_t units_ = 0;
@@ -96,11 +95,9 @@ class EstimatorAccumulator {
   double welford_mean_ = 0.0;
   double welford_m2_ = 0.0;
 
-  // RCS: integer power sums, exact up to 2^64 (tau_i, M_i < 2^24 by the
-  // TripleKey packing invariant, so overflow needs > 2^16 max-size
-  // clusters — far beyond any audit's annotation budget).
-  uint64_t sum_tau_ = 0;
-  uint64_t sum_m_ = 0;
+  // RCS: second-order integer power sums, exact up to 2^64 (tau_i, M_i <
+  // 2^24 by the TripleKey packing invariant, so overflow needs > 2^16
+  // max-size clusters — far beyond any audit's annotation budget).
   uint64_t sum_tau2_ = 0;
   uint64_t sum_taum_ = 0;
   uint64_t sum_m2_ = 0;

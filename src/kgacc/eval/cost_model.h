@@ -27,10 +27,6 @@ struct CostModel {
 double AnnotationCostSeconds(const CostModel& model,
                              const AnnotatedSample& sample);
 
-/// Total manual effort in hours (the unit of Tables 3-4 and Fig. 4).
-double AnnotationCostHours(const CostModel& model,
-                           const AnnotatedSample& sample);
-
 }  // namespace kgacc
 
 #endif  // KGACC_EVAL_COST_MODEL_H_

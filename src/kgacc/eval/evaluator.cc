@@ -22,6 +22,14 @@ const char* StopReasonName(StopReason reason) {
   return "unknown";
 }
 
+Result<StopReason> StopReasonFromByte(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(StopReason::kPopulationExhausted)) {
+    return Status::InvalidArgument("unknown stop reason " +
+                                   std::to_string(int(byte)));
+  }
+  return static_cast<StopReason>(byte);
+}
+
 const char* IntervalMethodName(IntervalMethod method) {
   switch (method) {
     case IntervalMethod::kWald:

@@ -96,6 +96,10 @@ enum class StopReason {
 /// Stable name for a stop reason ("converged", ...).
 const char* StopReasonName(StopReason reason);
 
+/// Reads a stop reason serialized as its enumerator's byte. A byte past the
+/// last enumerator (a crafted or corrupt payload) is an error.
+Result<StopReason> StopReasonFromByte(uint8_t byte);
+
 /// Outcome of one evaluation run.
 struct EvaluationResult {
   /// Final accuracy estimate mu-hat.

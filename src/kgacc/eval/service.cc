@@ -100,13 +100,6 @@ void EvaluationService::UnregisterPrototype(const Sampler* prototype) {
   }
 }
 
-void EvaluationService::ClearPrototypes() {
-  registered_prototypes_.clear();
-  for (const std::unique_ptr<WorkerContext>& context : contexts_) {
-    context->samplers.clear();
-  }
-}
-
 uint64_t EvaluationService::sampler_clones_created() const {
   uint64_t total = 0;
   for (const std::unique_ptr<WorkerContext>& context : contexts_) {

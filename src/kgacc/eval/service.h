@@ -253,9 +253,6 @@ class EvaluationService {
   /// clone of `prototype` from all contexts.
   void UnregisterPrototype(const Sampler* prototype);
 
-  /// Unregisters everything (bulk generation bump between workloads).
-  void ClearPrototypes();
-
   /// Sampler clones created by worker contexts so far (service lifetime).
   /// Registration is observable here: repeated batches over a registered
   /// prototype stop minting new clones. Call between batches only.

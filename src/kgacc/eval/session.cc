@@ -23,7 +23,11 @@ namespace {
 /// v4: the per-unit history and its reservoir are gone, from the config
 ///     fingerprint and from the AnnotatedSample payload (now totals and the
 ///     two distinct sets only), so a v3 payload must fail the gate as well.
-constexpr uint8_t kSessionSnapshotVersion = 4;
+/// v5: the AnnotatedSample payload drops its copy of the totals (units,
+///     n_S, tau_S), which only the accumulator keeps, and the accumulator
+///     drops its RCS sums of tau_i and M_i, which equal its own tau_S and
+///     n_S, so a v4 payload must fail the gate too.
+constexpr uint8_t kSessionSnapshotVersion = 5;
 
 }  // namespace
 
@@ -70,7 +74,7 @@ StepOutcome EvaluationSession::Snapshot() const {
   StepOutcome outcome;
   outcome.done = done_;
   outcome.stop_reason = result_.stop_reason;
-  outcome.annotated_triples = sample_->num_triples();
+  outcome.annotated_triples = accumulator_.num_triples();
   outcome.mu = result_.mu;
   outcome.moe = moe_;
   return outcome;
@@ -92,8 +96,9 @@ Result<StepOutcome> EvaluationSession::Step() {
   }
   ++result_.iterations;
 
-  // Phase 2: annotate the batch and fold it into the running sample and the
-  // streaming estimator state (each unit is touched exactly once).
+  // Phase 2: annotate the batch, mark its triples in the distinct sets and
+  // fold it into the streaming estimator state (each unit is touched
+  // exactly once).
   const KgView& kg = sampler_.kg();
   for (size_t u = 0; u < batch.size(); ++u) {
     const SampledUnit& unit = batch.unit(u);
@@ -108,7 +113,6 @@ Result<StepOutcome> EvaluationSession::Step() {
     }
     annotated.correct = annotator_.AnnotateUnit(kg, unit.cluster, offsets,
                                                 &rng_);
-    sample_->Add(annotated);
     accumulator_.Add(annotated);
   }
 
@@ -134,12 +138,12 @@ Result<StepOutcome> EvaluationSession::Step() {
   }
 
   // Phase 4: quality control against the MoE budget and resource caps.
-  if (sample_->num_triples() >= config_.min_sample_triples &&
+  if (accumulator_.num_triples() >= config_.min_sample_triples &&
       moe_ <= config_.moe_threshold) {
     result_.converged = true;
     result_.stop_reason = StopReason::kConverged;
     done_ = true;
-  } else if (sample_->num_triples() >= config_.max_triples) {
+  } else if (accumulator_.num_triples() >= config_.max_triples) {
     result_.stop_reason = StopReason::kTripleCapReached;
     done_ = true;
   } else if (config_.max_cost_seconds > 0.0 &&
@@ -153,12 +157,12 @@ Result<StepOutcome> EvaluationSession::Step() {
 
 Result<EvaluationResult> EvaluationSession::Finish() {
   if (!init_status_.ok()) return init_status_;
-  if (sample_->empty()) {
+  if (accumulator_.num_units() == 0) {
     return Status::FailedPrecondition(
         "sampler produced no units; population may be empty");
   }
   EvaluationResult out = result_;
-  out.annotated_triples = sample_->num_triples();
+  out.annotated_triples = accumulator_.num_triples();
   out.distinct_triples = sample_->num_distinct_triples();
   out.distinct_entities = sample_->num_distinct_entities();
   out.cost_seconds = AnnotationCostSeconds(cost_model_, *sample_);
@@ -290,7 +294,7 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(result_.deff, r->Double());
   KGACC_ASSIGN_OR_RETURN(result_.converged, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint8_t stop_reason, r->U8());
-  result_.stop_reason = static_cast<StopReason>(stop_reason);
+  KGACC_ASSIGN_OR_RETURN(result_.stop_reason, StopReasonFromByte(stop_reason));
   // One trace point encodes to a varint and two doubles.
   KGACC_ASSIGN_OR_RETURN(const uint64_t trace_size, r->Count(1 + 2 * 8));
   result_.trace.clear();

@@ -29,7 +29,9 @@
 /// Per-step cost is O(batch), independent of the accumulated sample size:
 /// phase 3 estimates from a streaming `EstimatorAccumulator` rather than
 /// re-walking the sample, and the HPD solvers warm-start from the previous
-/// step's solution (`AhpdWarmState`).
+/// step's solution (`AhpdWarmState`). The accumulator is the one owner of
+/// the totals (n_S, tau_S) that the stop rules and the result read; the
+/// `AnnotatedSample` keeps only the distinct sets the cost model charges.
 
 namespace kgacc {
 
@@ -104,12 +106,13 @@ class EvaluationSession {
   /// the full `RunEvaluation` semantics.
   Result<EvaluationResult> Run();
 
-  /// The accumulated annotated sample (Algorithm 1's `sample` variable):
-  /// its totals and distinct entity/triple counts.
+  /// The distinct entities and triples annotated so far (what the cost
+  /// model charges for).
   const AnnotatedSample& sample() const { return *sample_; }
 
   /// The streaming estimator state Step() estimates from — every batch is
-  /// folded in once, so phase 3 costs O(batch), not O(sample).
+  /// folded in once, so phase 3 costs O(batch), not O(sample). It holds
+  /// the audit's totals: `num_triples()` is n_S, `num_correct()` is tau_S.
   const EstimatorAccumulator& accumulator() const { return accumulator_; }
 
   /// The cross-step HPD warm carry threaded through `BuildInterval`: the
@@ -123,8 +126,8 @@ class EvaluationSession {
   int iterations() const { return result_.iterations; }
 
   /// Serializes the complete resumable state — RNG stream position, sampler
-  /// bookkeeping, streaming estimator, annotated sample (totals and
-  /// distinct sets), HPD warm carry, and the partial result — as
+  /// bookkeeping, streaming estimator (with the totals), the distinct
+  /// sets, HPD warm carry, and the partial result — as
   /// one snapshot payload (the checkpoint frames `CheckpointManager` writes
   /// into the annotation WAL). All doubles travel bit-exact: a restored
   /// session replays the identical stochastic and floating-point path, so

@@ -17,9 +17,6 @@ Result<double> StudentTCdf(double t, double nu);
 /// Two-sided tail probability P(|T| >= |t|).
 Result<double> StudentTTwoSidedP(double t, double nu);
 
-/// Quantile F^{-1}(p) of Student's t with `nu` degrees of freedom.
-Result<double> StudentTQuantile(double p, double nu);
-
 }  // namespace kgacc
 
 #endif  // KGACC_MATH_STUDENT_T_H_

@@ -8,13 +8,24 @@ namespace kgacc {
 
 void AppendNetFrame(uint8_t type, std::span<const uint8_t> payload,
                     std::vector<uint8_t>* out) {
-  ByteWriter w;
-  w.PutU8(type);
-  w.PutVarint(payload.size());
-  w.PutBytes(payload.data(), payload.size());
-  const uint32_t crc = Crc32c(w.bytes().data(), w.size());
-  w.PutFixed32(crc);
-  out->insert(out->end(), w.bytes().begin(), w.bytes().end());
+  // Type byte and varint length (at most ten bytes) go straight onto `out`
+  // from the stack; the CRC chains over them and then the payload.
+  uint8_t header[11];
+  size_t header_size = 0;
+  header[header_size++] = type;
+  uint64_t len = payload.size();
+  while (len >= 0x80) {
+    header[header_size++] = static_cast<uint8_t>(len) | 0x80;
+    len >>= 7;
+  }
+  header[header_size++] = static_cast<uint8_t>(len);
+  const uint32_t crc = Crc32c(payload.data(), payload.size(),
+                              Crc32c(header, header_size));
+  out->insert(out->end(), header, header + header_size);
+  out->insert(out->end(), payload.begin(), payload.end());
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<uint8_t>(crc >> (8 * i)));
+  }
 }
 
 std::vector<uint8_t> EncodeNetFrame(uint8_t type,

@@ -55,7 +55,7 @@ Status GetResult(ByteReader* r, EvaluationResult* result) {
   KGACC_ASSIGN_OR_RETURN(result->deff, r->Double());
   KGACC_ASSIGN_OR_RETURN(result->converged, r->Bool());
   KGACC_ASSIGN_OR_RETURN(const uint8_t reason, r->U8());
-  result->stop_reason = static_cast<StopReason>(reason);
+  KGACC_ASSIGN_OR_RETURN(result->stop_reason, StopReasonFromByte(reason));
   KGACC_ASSIGN_OR_RETURN(result->degraded, r->Bool());
   KGACC_ASSIGN_OR_RETURN(result->degradation_note, r->String());
   // One trace point encodes to a varint and two doubles.
@@ -240,6 +240,7 @@ Result<IntervalUpdateMsg> DecodeIntervalUpdate(
   KGACC_ASSIGN_OR_RETURN(m.moe, r.Double());
   KGACC_ASSIGN_OR_RETURN(m.done, r.Bool());
   KGACC_ASSIGN_OR_RETURN(m.stop_reason, r.U8());
+  KGACC_RETURN_IF_ERROR(StopReasonFromByte(m.stop_reason).status());
   KGACC_ASSIGN_OR_RETURN(m.degraded, r.Bool());
   KGACC_RETURN_IF_ERROR(ExpectDrained(r, "IntervalUpdate"));
   return m;
@@ -339,6 +340,13 @@ Result<ErrorMsg> DecodeError(std::span<const uint8_t> payload) {
   ByteReader r(payload);
   ErrorMsg m;
   KGACC_ASSIGN_OR_RETURN(m.code, r.U8());
+  // An Error frame carries a failure: an OK code (or one this build does
+  // not know) would turn it into a success the client cannot return.
+  if (m.code == static_cast<uint8_t>(StatusCode::kOk) ||
+      m.code > static_cast<uint8_t>(StatusCode::kQuotaExceeded)) {
+    return Status::InvalidArgument("net: Error frame with status code " +
+                                   std::to_string(int(m.code)));
+  }
   KGACC_ASSIGN_OR_RETURN(m.audit_id, r.Varint());
   KGACC_ASSIGN_OR_RETURN(m.fatal_to_session, r.Bool());
   KGACC_ASSIGN_OR_RETURN(m.fatal_to_connection, r.Bool());

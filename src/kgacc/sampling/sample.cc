@@ -6,35 +6,19 @@
 namespace kgacc {
 
 void AnnotatedSample::SaveState(ByteWriter* w) const {
-  w->PutVarint(num_units_);
-  w->PutVarint(num_triples_);
-  w->PutVarint(num_correct_);
   SaveFlatSet64(entities_, w);
   SaveFlatSet64(triples_, w);
 }
 
 Status AnnotatedSample::LoadState(ByteReader* r) {
   Clear();
-  KGACC_ASSIGN_OR_RETURN(num_units_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(num_triples_, r->Varint());
-  KGACC_ASSIGN_OR_RETURN(num_correct_, r->Varint());
   KGACC_RETURN_IF_ERROR(LoadFlatSet64(r, &entities_));
   return LoadFlatSet64(r, &triples_);
 }
 
 void AnnotatedSample::Clear() {
-  num_units_ = 0;
-  num_triples_ = 0;
-  num_correct_ = 0;
   entities_.clear();
   triples_.clear();
-}
-
-void AnnotatedSample::Add(const AnnotatedUnit& unit) {
-  KGACC_DCHECK(unit.correct <= unit.drawn);
-  ++num_units_;
-  num_triples_ += unit.drawn;
-  num_correct_ += unit.correct;
 }
 
 uint64_t AnnotatedSample::TripleKey(const TripleRef& ref) {

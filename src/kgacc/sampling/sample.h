@@ -12,9 +12,10 @@
 #include "kgacc/util/status.h"
 
 /// \file sample.h
-/// Accumulated annotated sample (the `sample` variable of Algorithm 1).
-/// Grows batch by batch across the iterations of the evaluation framework
-/// and feeds the stop rules and the cost model.
+/// Sampled and annotated units, and the distinct entities and triples an
+/// audit has touched (what the Eq. 12 cost model charges for). The totals
+/// n_S and tau_S that Algorithm 1's stop rules read live in the session's
+/// `EstimatorAccumulator`.
 
 namespace kgacc {
 
@@ -139,31 +140,18 @@ struct AnnotatedUnit {
   uint32_t correct = 0;
 };
 
-/// The running annotated sample: the totals (n_S, tau_S) and the
-/// *distinct* entities/triples touched, which is what the annotation cost
-/// function charges for (Eq. 12: identifying an already-identified entity
-/// is free). The estimators read the session's `EstimatorAccumulator`, so
-/// no per-unit record is kept.
+/// The distinct entities and triples an audit has touched: what the
+/// annotation cost function charges for (Eq. 12: identifying an
+/// already-identified entity is free). The totals (n_S, tau_S, units) live
+/// in the session's `EstimatorAccumulator`, so no per-unit record or count
+/// is kept here.
 class AnnotatedSample {
  public:
-  /// Adds an annotated unit to the totals.
-  void Add(const AnnotatedUnit& unit);
-
   /// Restores the freshly constructed state while keeping both distinct-set
   /// tables' capacity. This is what lets a worker context recycle one
   /// sample across thousands of audits: after the first few jobs the flat
   /// sets are sized for the workload and later sessions never rehash.
   void Clear();
-
-  /// Number of annotated triples n_S (duplicates from with-replacement
-  /// designs count, matching the estimator's sample size).
-  uint64_t num_triples() const { return num_triples_; }
-
-  /// Number of correct annotations tau_S.
-  uint64_t num_correct() const { return num_correct_; }
-
-  /// Units accumulated so far.
-  uint64_t num_units() const { return num_units_; }
 
   /// Distinct entities |E_S| identified so far.
   uint64_t num_distinct_entities() const { return entities_.size(); }
@@ -176,20 +164,15 @@ class AnnotatedSample {
   /// Returns true when the triple had not been seen before.
   bool MarkAnnotated(const TripleRef& ref);
 
-  bool empty() const { return num_units_ == 0; }
-
-  /// Serializes the totals and the members of both distinct sets. Restore
-  /// rebuilds the sets by re-insertion — membership is the state; the
-  /// table layout is not.
+  /// Serializes the members of both distinct sets. Restore rebuilds the
+  /// sets by re-insertion — membership is the state; the table layout is
+  /// not.
   void SaveState(ByteWriter* w) const;
   Status LoadState(ByteReader* r);
 
  private:
   static uint64_t TripleKey(const TripleRef& ref);
 
-  uint64_t num_units_ = 0;
-  uint64_t num_triples_ = 0;
-  uint64_t num_correct_ = 0;
   FlatSet64 entities_;
   FlatSet64 triples_;
 };

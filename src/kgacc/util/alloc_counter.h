@@ -13,8 +13,9 @@
 ///
 /// Include from exactly ONE translation unit per binary (it *defines* the
 /// operators). Library code must never include it — it exists for the
-/// zero-allocation steady-state test (tests/eval/session_alloc_test.cc) and
-/// the allocations-per-audit column of bench_service_throughput.
+/// zero-allocation tests (tests/eval/session_alloc_test.cc, the frame
+/// append case in tests/net/frame_test.cc) and the allocations-per-audit
+/// column of bench_service_throughput.
 
 namespace kgacc::alloc_counter {
 

@@ -164,7 +164,7 @@ TEST(EvaluationSessionTest, AccumulatorMatchesBatchEstimateAtEveryStep) {
         annotated.correct = annotator.correct[units.size()];
         units.push_back(annotated);
       }
-      ASSERT_EQ(units.size(), session.sample().num_units());
+      ASSERT_EQ(units.size(), session.accumulator().num_units());
       const auto streaming =
           *session.accumulator().Estimate(sampler->stratum_weights());
       const auto batch_estimate =
@@ -175,8 +175,8 @@ TEST(EvaluationSessionTest, AccumulatorMatchesBatchEstimateAtEveryStep) {
       EXPECT_EQ(streaming.num_units, batch_estimate.num_units);
       EXPECT_NEAR(streaming.variance, batch_estimate.variance,
                   1e-12 * std::max(1.0, batch_estimate.variance));
-      EXPECT_EQ(batch_estimate.n, session.sample().num_triples());
-      EXPECT_EQ(batch_estimate.tau, session.sample().num_correct());
+      EXPECT_EQ(batch_estimate.n, session.accumulator().num_triples());
+      EXPECT_EQ(batch_estimate.tau, session.accumulator().num_correct());
     }
   }
 }
@@ -195,7 +195,8 @@ TEST(EvaluationSessionTest, StepByStepMatchesSingleRun) {
   while (!session.done()) {
     const StepOutcome outcome = *session.Step();
     ++steps;
-    EXPECT_EQ(outcome.annotated_triples, session.sample().num_triples());
+    EXPECT_EQ(outcome.annotated_triples,
+              session.accumulator().num_triples());
     if (!outcome.done) EXPECT_GT(outcome.moe, config.moe_threshold);
   }
   EXPECT_EQ(steps, loop.iterations);

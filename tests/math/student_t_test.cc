@@ -69,33 +69,5 @@ TEST(StudentTTwoSidedPTest, ZeroStatisticGivesPOne) {
   EXPECT_NEAR(*StudentTTwoSidedP(0.0, 10.0), 1.0, 1e-14);
 }
 
-TEST(StudentTQuantileTest, RoundTripsThroughCdf) {
-  for (const double nu : {1.0, 2.0, 5.0, 20.0, 200.0}) {
-    for (const double p : {0.005, 0.05, 0.25, 0.5, 0.75, 0.95, 0.995}) {
-      const auto q = StudentTQuantile(p, nu);
-      ASSERT_TRUE(q.ok()) << "nu=" << nu << " p=" << p;
-      EXPECT_NEAR(*StudentTCdf(*q, nu), p, 1e-9) << "nu=" << nu << " p=" << p;
-    }
-  }
-}
-
-TEST(StudentTQuantileTest, MatchesCauchyClosedForm) {
-  // nu = 1: Q(p) = tan(pi (p - 1/2)).
-  for (const double p : {0.1, 0.25, 0.6, 0.9}) {
-    EXPECT_NEAR(*StudentTQuantile(p, 1.0), std::tan(M_PI * (p - 0.5)), 1e-8)
-        << p;
-  }
-}
-
-TEST(StudentTQuantileTest, MedianIsZero) {
-  EXPECT_DOUBLE_EQ(*StudentTQuantile(0.5, 7.0), 0.0);
-}
-
-TEST(StudentTQuantileTest, RejectsInvalidInputs) {
-  EXPECT_FALSE(StudentTQuantile(0.0, 5.0).ok());
-  EXPECT_FALSE(StudentTQuantile(1.0, 5.0).ok());
-  EXPECT_FALSE(StudentTQuantile(0.5, -1.0).ok());
-}
-
 }  // namespace
 }  // namespace kgacc

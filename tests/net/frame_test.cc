@@ -1,10 +1,12 @@
 #include "kgacc/net/frame.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "kgacc/net/protocol.h"
+#include "kgacc/util/alloc_counter.h"
 #include "kgacc/util/codec.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +53,40 @@ TEST(NetFrameTest, RoundTripsEmptyPayload) {
   ASSERT_TRUE(*have);
   EXPECT_EQ(frame.type, 3);
   EXPECT_TRUE(frame.payload.empty());
+}
+
+TEST(NetFrameTest, AppendedFrameMatchesTheCodecLayout) {
+  // [type][varint length][payload][crc32c over all three], appended behind
+  // whatever `out` already holds; lengths cover one- to three-byte varints.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{127}, size_t{128},
+                         size_t{300}, size_t{20000}}) {
+    const std::vector<uint8_t> payload = Payload(n, static_cast<uint8_t>(n));
+    ByteWriter reference;
+    reference.PutU8(6);
+    reference.PutVarint(n);
+    reference.PutBytes(payload.data(), payload.size());
+    reference.PutFixed32(Crc32c(reference.bytes().data(), reference.size()));
+    std::vector<uint8_t> wire = {0xAB, 0xCD};
+    AppendNetFrame(6, payload, &wire);
+    ASSERT_EQ(wire.size(), 2 + reference.size()) << n;
+    EXPECT_EQ(wire[0], 0xAB);
+    EXPECT_EQ(wire[1], 0xCD);
+    EXPECT_TRUE(std::equal(reference.bytes().begin(), reference.bytes().end(),
+                           wire.begin() + 2))
+        << n;
+  }
+}
+
+TEST(NetFrameTest, AppendingFramesAllocatesNothingWhenTheOutboxHasRoom) {
+  // A frame is written straight into the outbox: once the outbox has the
+  // capacity, appending costs no heap allocation.
+  const std::vector<uint8_t> payload = Payload(300);
+  std::vector<uint8_t> outbox;
+  outbox.reserve(4096);
+  const uint64_t before = alloc_counter::Current();
+  for (uint8_t t = 1; t <= 8; ++t) AppendNetFrame(t, payload, &outbox);
+  EXPECT_EQ(alloc_counter::Current() - before, 0u);
+  EXPECT_EQ(outbox.size(), 8 * (1 + 2 + payload.size() + 4));
 }
 
 TEST(NetFrameTest, ManyFramesInOneFeed) {
@@ -317,6 +353,52 @@ TEST(NetFrameTest, ReportFrameWithCraftedTraceCountIsRejected) {
   EXPECT_LT(frame.payload.size(), 100u);
   const auto decoded = DecodeAuditReport(frame.payload);
   EXPECT_FALSE(decoded.ok());
+}
+
+TEST(NetFrameTest, ErrorFrameWithOutOfRangeCodeIsRejected) {
+  // An Error frame must carry a failure: code 0 would decode into an OK
+  // status that the client then returns as a failed result, and a code
+  // past the last StatusCode names nothing.
+  ErrorMsg error;
+  error.audit_id = 5;
+  error.fatal_to_session = true;
+  error.message = "crafted";
+  for (const uint8_t code :
+       {uint8_t{0}, uint8_t(uint8_t(StatusCode::kQuotaExceeded) + 1),
+        uint8_t{255}}) {
+    error.code = code;
+    const auto decoded = DecodeError(EncodeError(error));
+    ASSERT_FALSE(decoded.ok()) << int(code);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (const StatusCode code :
+       {StatusCode::kInvalidArgument, StatusCode::kQuotaExceeded}) {
+    error.code = static_cast<uint8_t>(code);
+    const auto decoded = DecodeError(EncodeError(error));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->ToStatus().code(), code);
+  }
+}
+
+TEST(NetFrameTest, FramesWithCraftedStopReasonAreRejected) {
+  // A stop reason byte past kPopulationExhausted names no enumerator; both
+  // the report and the per-step update must reject it.
+  const uint8_t crafted = uint8_t(StopReason::kPopulationExhausted) + 1;
+  AuditReportMsg report;
+  report.result.stop_reason = static_cast<StopReason>(crafted);
+  EXPECT_FALSE(DecodeAuditReport(EncodeAuditReport(report)).ok());
+  report.result.stop_reason = StopReason::kPopulationExhausted;
+  const auto valid_report = DecodeAuditReport(EncodeAuditReport(report));
+  ASSERT_TRUE(valid_report.ok()) << valid_report.status().ToString();
+  EXPECT_EQ(valid_report->result.stop_reason,
+            StopReason::kPopulationExhausted);
+
+  IntervalUpdateMsg update;
+  update.done = true;
+  update.stop_reason = crafted;
+  EXPECT_FALSE(DecodeIntervalUpdate(EncodeIntervalUpdate(update)).ok());
+  update.stop_reason = uint8_t(StopReason::kPopulationExhausted);
+  EXPECT_TRUE(DecodeIntervalUpdate(EncodeIntervalUpdate(update)).ok());
 }
 
 }  // namespace

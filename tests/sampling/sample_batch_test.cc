@@ -1,8 +1,7 @@
 // Round-trip tests for the flat (structure-of-arrays) SampleBatch: every
-// sampler must emit well-formed spans over the shared offset buffer, the
-// same seed must reproduce the same draws through fresh instances, clones,
-// and reused batch objects, and the appending second-stage draw must match
-// the allocating reference stream for stream.
+// sampler must emit well-formed spans over the shared offset buffer, and
+// the same seed must reproduce the same draws through fresh instances,
+// clones, and reused batch objects.
 
 #include <memory>
 #include <vector>
@@ -135,47 +134,6 @@ TEST(SampleBatchSoaTest, ClonesReplayThePrototypeStream) {
       ASSERT_TRUE(clone->NextBatch(&rng_b, &b).ok());
       ExpectSameBatch(a, b);
     }
-  }
-}
-
-TEST(SampleBatchSoaTest, AppendingFloydDrawMatchesAllocatingReference) {
-  // SampleWithoutReplacementAppend must consume the identical Rng stream —
-  // and land the identical draw — as the allocating reference, regardless
-  // of what already sits in the output buffer.
-  for (const uint64_t n : {5ull, 40ull, 1000ull}) {
-    for (const uint64_t k : {1ull, 3ull, 5ull}) {
-      Rng rng_ref(n * 100 + k), rng_app(n * 100 + k);
-      const std::vector<uint64_t> reference =
-          SampleWithoutReplacement(n, k, &rng_ref);
-      std::vector<uint64_t> appended = {777, 888};  // Pre-existing tail.
-      FlatSet64 scratch;
-      SampleWithoutReplacementAppend(n, k, &rng_app, &appended, &scratch);
-      ASSERT_EQ(appended.size(), 2 + reference.size());
-      EXPECT_EQ(appended[0], 777u);
-      EXPECT_EQ(appended[1], 888u);
-      for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(appended[2 + i], reference[i]) << n << " " << k;
-      }
-      // Streams advanced identically.
-      EXPECT_EQ(rng_ref.Next(), rng_app.Next());
-    }
-  }
-}
-
-TEST(SampleBatchSoaTest, SecondStageAppendMatchesInto) {
-  for (const int m : {0, 2, 3, 10}) {
-    Rng rng_into(400 + m), rng_append(400 + m);
-    std::vector<uint64_t> into;
-    FlatSet64 scratch_into, scratch_append;
-    internal::DrawSecondStageInto(7, m, &rng_into, &into, &scratch_into);
-    std::vector<uint64_t> appended = {42};
-    internal::DrawSecondStageAppend(7, m, &rng_append, &appended,
-                                    &scratch_append);
-    ASSERT_EQ(appended.size(), 1 + into.size());
-    for (size_t i = 0; i < into.size(); ++i) {
-      EXPECT_EQ(appended[1 + i], into[i]) << "m=" << m;
-    }
-    EXPECT_EQ(rng_into.Next(), rng_append.Next());
   }
 }
 

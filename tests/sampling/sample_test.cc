@@ -7,22 +7,8 @@ namespace {
 
 TEST(AnnotatedSampleTest, StartsEmpty) {
   AnnotatedSample sample;
-  EXPECT_TRUE(sample.empty());
-  EXPECT_EQ(sample.num_triples(), 0u);
-  EXPECT_EQ(sample.num_correct(), 0u);
   EXPECT_EQ(sample.num_distinct_entities(), 0u);
   EXPECT_EQ(sample.num_distinct_triples(), 0u);
-}
-
-TEST(AnnotatedSampleTest, AccumulatesUnits) {
-  AnnotatedSample sample;
-  sample.Add(AnnotatedUnit{.cluster = 0, .cluster_population = 5, .drawn = 3,
-                           .correct = 2});
-  sample.Add(AnnotatedUnit{.cluster = 1, .cluster_population = 2, .drawn = 2,
-                           .correct = 0});
-  EXPECT_EQ(sample.num_triples(), 5u);
-  EXPECT_EQ(sample.num_correct(), 2u);
-  EXPECT_EQ(sample.num_units(), 2u);
 }
 
 TEST(AnnotatedSampleTest, MarkAnnotatedTracksDistinctTriples) {

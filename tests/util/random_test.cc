@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "kgacc/util/flat_set.h"
+
 #include <gtest/gtest.h>
 
 namespace kgacc {
@@ -129,32 +131,61 @@ TEST(RngTest, BetaMeanMatchesParameters) {
 
 TEST(SampleWithoutReplacementTest, ProducesDistinctIndices) {
   Rng rng(41);
-  const auto sample = SampleWithoutReplacement(100, 30, &rng);
+  std::vector<uint64_t> sample;
+  FlatSet64 scratch;
+  SampleWithoutReplacementAppend(100, 30, &rng, &sample, &scratch);
   ASSERT_EQ(sample.size(), 30u);
   std::set<uint64_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 30u);
   for (uint64_t x : sample) EXPECT_LT(x, 100u);
 }
 
+TEST(SampleWithoutReplacementTest, AppendsBehindExistingElements) {
+  // The draw lands at the tail and leaves what is already there alone, and
+  // the same seed draws the same indices whatever precedes them.
+  Rng rng_empty(43), rng_tail(43);
+  std::vector<uint64_t> fresh;
+  std::vector<uint64_t> tail = {777, 888};
+  FlatSet64 scratch;
+  SampleWithoutReplacementAppend(40, 5, &rng_empty, &fresh, &scratch);
+  SampleWithoutReplacementAppend(40, 5, &rng_tail, &tail, &scratch);
+  ASSERT_EQ(tail.size(), 2 + fresh.size());
+  EXPECT_EQ(tail[0], 777u);
+  EXPECT_EQ(tail[1], 888u);
+  EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), tail.begin() + 2));
+  EXPECT_EQ(rng_empty.Next(), rng_tail.Next());
+}
+
 TEST(SampleWithoutReplacementTest, FullDrawIsPermutation) {
   Rng rng(43);
-  const auto sample = SampleWithoutReplacement(10, 10, &rng);
+  std::vector<uint64_t> sample;
+  FlatSet64 scratch;
+  SampleWithoutReplacementAppend(10, 10, &rng, &sample, &scratch);
   std::set<uint64_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
 }
 
-TEST(SampleWithoutReplacementTest, ZeroDrawIsEmpty) {
+TEST(SampleWithoutReplacementTest, ZeroDrawAppendsNothing) {
   Rng rng(47);
-  EXPECT_TRUE(SampleWithoutReplacement(5, 0, &rng).empty());
+  std::vector<uint64_t> sample = {3};
+  FlatSet64 scratch;
+  SampleWithoutReplacementAppend(5, 0, &rng, &sample, &scratch);
+  EXPECT_EQ(sample, std::vector<uint64_t>{3});
 }
 
 TEST(SampleWithoutReplacementTest, EveryElementEquallyLikely) {
+  // One output buffer and one scratch set reused across every draw, as
+  // the TWCS sampler reuses them across units.
   Rng rng(53);
   const uint64_t n = 20, k = 5;
   std::vector<int> counts(n, 0);
+  std::vector<uint64_t> sample;
+  FlatSet64 scratch;
   const int reps = 40000;
   for (int r = 0; r < reps; ++r) {
-    for (uint64_t x : SampleWithoutReplacement(n, k, &rng)) ++counts[x];
+    sample.clear();
+    SampleWithoutReplacementAppend(n, k, &rng, &sample, &scratch);
+    for (uint64_t x : sample) ++counts[x];
   }
   const double expected = reps * static_cast<double>(k) / n;
   for (uint64_t i = 0; i < n; ++i) {
