@@ -19,9 +19,12 @@ void AuditClient::Disconnect() {
   assembler_ = FrameAssembler(kDefaultMaxFrameBytes);
 }
 
-Status AuditClient::SendFrame(const std::vector<uint8_t>& frame) {
-  if (!fd_.valid()) return Status::IoError("not connected");
-  return SendAll(fd_.get(), {frame.data(), frame.size()});
+Status AuditClient::SendQueued() {
+  const Status sent =
+      fd_.valid() ? SendAll(fd_.get(), {send_buf_.data(), send_buf_.size()})
+                  : Status::IoError("not connected");
+  send_buf_.clear();
+  return sent;
 }
 
 Result<NetFrame> AuditClient::ReadFrame() {
@@ -65,10 +68,22 @@ Status AuditClient::Establish(OpenAuditMsg open) {
                                 : 2000;
     KGACC_RETURN_IF_ERROR(SetRecvTimeoutMs(fd_.get(), effective_timeout_ms_));
 
+    // Hello, the open and the first batch leave in one write, and the
+    // daemon answers them in order. If it refuses the open, the batch
+    // behind it only earns a session-fatal Error on a connection this
+    // client is already leaving.
     HelloMsg hello;
     hello.tenant = options_.tenant;
-    KGACC_RETURN_IF_ERROR(
-        SendFrame(FrameOf(MessageType::kHello, EncodeHello, hello)));
+    AppendFrameOf(MessageType::kHello, EncodeHello, hello, &send_buf_);
+    AppendFrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open, &send_buf_);
+    AppendFrameOf(MessageType::kStepBatch, EncodeStepBatch,
+                  StepBatchMsg{open.audit_id, options_.batch_steps},
+                  &send_buf_);
+    const Status sent = SendQueued();
+    if (!sent.ok()) {
+      last = sent;
+      continue;
+    }
     auto reply = ReadFrame();
     if (!reply.ok()) {
       last = reply.status();
@@ -113,8 +128,6 @@ Status AuditClient::Establish(OpenAuditMsg open) {
       continue;
     }
 
-    KGACC_RETURN_IF_ERROR(
-        SendFrame(FrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open)));
     auto opened = ReadFrame();
     if (!opened.ok()) {
       last = opened.status();
@@ -138,6 +151,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
               {opened->payload.data(), opened->payload.size()}));
       ++stats_.quota_exceeded_frames;
       stats_.last_quota_exceeded = exceeded;
+      Disconnect();
       return exceeded.ToStatus();
     }
     if (opened->type == static_cast<uint8_t>(MessageType::kError)) {
@@ -151,6 +165,7 @@ Status AuditClient::Establish(OpenAuditMsg open) {
         Disconnect();
         continue;
       }
+      Disconnect();
       return err.ToStatus();  // open rejections are not transient
     }
     if (opened->type != static_cast<uint8_t>(MessageType::kAuditOpened)) {
@@ -178,7 +193,8 @@ Result<AuditReportMsg> AuditClient::RunAudit(
 
   int reconnects_left = options_.max_reconnects;
   ExponentialBackoff reconnect_backoff(options_.backoff);
-  bool batch_outstanding = false;
+  // Every Establish sends the first batch behind the open.
+  bool batch_outstanding = true;
   uint64_t updates_this_batch = 0;
   int heartbeat_misses = 0;
   bool heartbeat_outstanding = false;
@@ -196,7 +212,7 @@ Result<AuditReportMsg> AuditClient::RunAudit(
     SleepMs(reconnect_backoff.NextDelayMs());
     const Status re = Establish(request);
     if (re.ok()) {
-      batch_outstanding = false;
+      batch_outstanding = true;
       updates_this_batch = 0;
       heartbeat_misses = 0;
       heartbeat_outstanding = false;
@@ -206,11 +222,10 @@ Result<AuditReportMsg> AuditClient::RunAudit(
 
   while (true) {
     if (!batch_outstanding) {
-      StepBatchMsg batch;
-      batch.audit_id = request.audit_id;
-      batch.steps = options_.batch_steps;
-      const Status sent = SendFrame(
-          FrameOf(MessageType::kStepBatch, EncodeStepBatch, batch));
+      AppendFrameOf(MessageType::kStepBatch, EncodeStepBatch,
+                    StepBatchMsg{request.audit_id, options_.batch_steps},
+                    &send_buf_);
+      const Status sent = SendQueued();
       if (!sent.ok()) {
         KGACC_RETURN_IF_ERROR(transport_failure(sent));
         continue;
@@ -234,8 +249,9 @@ Result<AuditReportMsg> AuditClient::RunAudit(
         probe.nonce = next_heartbeat_nonce_++;
         ++stats_.heartbeats_sent;
         heartbeat_outstanding = true;
-        const Status sent = SendFrame(
-            FrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe));
+        AppendFrameOf(MessageType::kHeartbeat, EncodeHeartbeat, probe,
+                      &send_buf_);
+        const Status sent = SendQueued();
         if (!sent.ok()) KGACC_RETURN_IF_ERROR(transport_failure(sent));
         continue;
       }

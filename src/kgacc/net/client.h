@@ -91,7 +91,10 @@ class AuditClient {
   /// Runs `open` to completion: handshake, open (resuming when the daemon
   /// holds a checkpoint), stream StepBatch frames, deliver every
   /// IntervalUpdate to `on_update` (when given), and return the final
-  /// report. Reconnects and resumes transparently on transport failure.
+  /// report. The open is one write: Hello, OpenAudit and the first
+  /// StepBatch travel together, on the first connect and on every
+  /// reconnect, so the first interval is one round trip away. Reconnects
+  /// and resumes transparently on transport failure.
   Result<AuditReportMsg> RunAudit(
       const OpenAuditMsg& open,
       const std::function<void(const IntervalUpdateMsg&)>& on_update = {});
@@ -99,18 +102,21 @@ class AuditClient {
   const AuditClientStats& stats() const { return stats_; }
 
  private:
-  /// Connects, handshakes, opens the audit. Fills `stats_.opened`.
+  /// Connects, handshakes and opens the audit with its first StepBatch
+  /// already sent. Fills `stats_.opened`.
   Status Establish(OpenAuditMsg open);
   /// Blocking read of the next complete frame (assembler-buffered).
   /// kDeadlineExceeded = the daemon is quiet (heartbeat opportunity).
   Result<NetFrame> ReadFrame();
-  Status SendFrame(const std::vector<uint8_t>& frame);
+  /// Sends the frames queued in `send_buf_` in one write and empties it.
+  Status SendQueued();
   void Disconnect();
 
   AuditClientOptions options_;
   AuditClientStats stats_;
   OwnedFd fd_;
   FrameAssembler assembler_{kDefaultMaxFrameBytes};
+  std::vector<uint8_t> send_buf_;
   uint64_t effective_timeout_ms_ = 2000;
   uint64_t next_heartbeat_nonce_ = 1;
 };

@@ -74,6 +74,11 @@ Status GetResult(ByteReader* r, EvaluationResult* result) {
 
 }  // namespace
 
+ByteWriter& FrameScratch() {
+  thread_local ByteWriter scratch;
+  return scratch;
+}
+
 const char* MessageTypeName(uint8_t type) {
   switch (static_cast<MessageType>(type)) {
     case MessageType::kHello: return "Hello";
@@ -94,12 +99,10 @@ const char* MessageTypeName(uint8_t type) {
   return "Unknown";
 }
 
-std::vector<uint8_t> EncodeHello(const HelloMsg& m) {
-  ByteWriter w;
-  w.PutFixed32(m.magic);
-  w.PutVarint(m.version);
-  w.PutString(m.tenant);
-  return w.bytes();
+void EncodeHello(const HelloMsg& m, ByteWriter* w) {
+  w->PutFixed32(m.magic);
+  w->PutVarint(m.version);
+  w->PutString(m.tenant);
 }
 
 Result<HelloMsg> DecodeHello(std::span<const uint8_t> payload) {
@@ -116,13 +119,11 @@ Result<HelloMsg> DecodeHello(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeHelloAck(const HelloAckMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.version);
-  w.PutBool(m.draining);
-  w.PutVarint(m.heartbeat_interval_ms);
-  w.PutVarint(m.idle_timeout_ms);
-  return w.bytes();
+void EncodeHelloAck(const HelloAckMsg& m, ByteWriter* w) {
+  w->PutVarint(m.version);
+  w->PutBool(m.draining);
+  w->PutVarint(m.heartbeat_interval_ms);
+  w->PutVarint(m.idle_timeout_ms);
 }
 
 Result<HelloAckMsg> DecodeHelloAck(std::span<const uint8_t> payload) {
@@ -136,21 +137,19 @@ Result<HelloAckMsg> DecodeHelloAck(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeOpenAudit(const OpenAuditMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutString(m.kg_name);
-  w.PutString(m.design);
-  w.PutString(m.method);
-  w.PutDouble(m.alpha);
-  w.PutDouble(m.epsilon);
-  w.PutVarint(m.seed);
-  w.PutVarint(m.twcs_m);
-  w.PutVarint(m.checkpoint_every);
-  w.PutVarint(m.max_steps);
-  w.PutDouble(m.deadline_seconds);
-  w.PutBool(m.resume);
-  return w.bytes();
+void EncodeOpenAudit(const OpenAuditMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutString(m.kg_name);
+  w->PutString(m.design);
+  w->PutString(m.method);
+  w->PutDouble(m.alpha);
+  w->PutDouble(m.epsilon);
+  w->PutVarint(m.seed);
+  w->PutVarint(m.twcs_m);
+  w->PutVarint(m.checkpoint_every);
+  w->PutVarint(m.max_steps);
+  w->PutDouble(m.deadline_seconds);
+  w->PutBool(m.resume);
 }
 
 Result<OpenAuditMsg> DecodeOpenAudit(std::span<const uint8_t> payload) {
@@ -172,15 +171,13 @@ Result<OpenAuditMsg> DecodeOpenAudit(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeAuditOpened(const AuditOpenedMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutBool(m.resumed);
-  w.PutVarint(m.start_step);
-  w.PutVarint(m.labels_on_file);
-  w.PutString(m.design_name);
-  w.PutString(m.dataset_name);
-  return w.bytes();
+void EncodeAuditOpened(const AuditOpenedMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutBool(m.resumed);
+  w->PutVarint(m.start_step);
+  w->PutVarint(m.labels_on_file);
+  w->PutString(m.design_name);
+  w->PutString(m.dataset_name);
 }
 
 Result<AuditOpenedMsg> DecodeAuditOpened(std::span<const uint8_t> payload) {
@@ -196,11 +193,9 @@ Result<AuditOpenedMsg> DecodeAuditOpened(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeStepBatch(const StepBatchMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutVarint(m.steps);
-  return w.bytes();
+void EncodeStepBatch(const StepBatchMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutVarint(m.steps);
 }
 
 Result<StepBatchMsg> DecodeStepBatch(std::span<const uint8_t> payload) {
@@ -212,19 +207,17 @@ Result<StepBatchMsg> DecodeStepBatch(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeIntervalUpdate(const IntervalUpdateMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutVarint(m.step);
-  w.PutVarint(m.annotated_triples);
-  w.PutDouble(m.mu);
-  w.PutDouble(m.lower);
-  w.PutDouble(m.upper);
-  w.PutDouble(m.moe);
-  w.PutBool(m.done);
-  w.PutU8(m.stop_reason);
-  w.PutBool(m.degraded);
-  return w.bytes();
+void EncodeIntervalUpdate(const IntervalUpdateMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutVarint(m.step);
+  w->PutVarint(m.annotated_triples);
+  w->PutDouble(m.mu);
+  w->PutDouble(m.lower);
+  w->PutDouble(m.upper);
+  w->PutDouble(m.moe);
+  w->PutBool(m.done);
+  w->PutU8(m.stop_reason);
+  w->PutBool(m.degraded);
 }
 
 Result<IntervalUpdateMsg> DecodeIntervalUpdate(
@@ -246,19 +239,17 @@ Result<IntervalUpdateMsg> DecodeIntervalUpdate(
   return m;
 }
 
-std::vector<uint8_t> EncodeAuditReport(const AuditReportMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutString(m.design_name);
-  w.PutString(m.dataset_name);
-  PutResult(&w, m.result);
-  w.PutVarint(m.store_hits);
-  w.PutVarint(m.oracle_calls);
-  w.PutVarint(m.checkpoints_written);
-  w.PutVarint(m.store_retries);
-  w.PutBool(m.degraded);
-  w.PutString(m.degradation_note);
-  return w.bytes();
+void EncodeAuditReport(const AuditReportMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutString(m.design_name);
+  w->PutString(m.dataset_name);
+  PutResult(w, m.result);
+  w->PutVarint(m.store_hits);
+  w->PutVarint(m.oracle_calls);
+  w->PutVarint(m.checkpoints_written);
+  w->PutVarint(m.store_retries);
+  w->PutBool(m.degraded);
+  w->PutString(m.degradation_note);
 }
 
 Result<AuditReportMsg> DecodeAuditReport(std::span<const uint8_t> payload) {
@@ -278,10 +269,8 @@ Result<AuditReportMsg> DecodeAuditReport(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeCloseAudit(const CloseAuditMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  return w.bytes();
+void EncodeCloseAudit(const CloseAuditMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
 }
 
 Result<CloseAuditMsg> DecodeCloseAudit(std::span<const uint8_t> payload) {
@@ -292,14 +281,12 @@ Result<CloseAuditMsg> DecodeCloseAudit(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeHeartbeat(const HeartbeatMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.nonce);
-  return w.bytes();
+void EncodeHeartbeat(const HeartbeatMsg& m, ByteWriter* w) {
+  w->PutVarint(m.nonce);
 }
 
-std::vector<uint8_t> EncodeHeartbeatAck(const HeartbeatMsg& m) {
-  return EncodeHeartbeat(m);
+void EncodeHeartbeatAck(const HeartbeatMsg& m, ByteWriter* w) {
+  EncodeHeartbeat(m, w);
 }
 
 Result<HeartbeatMsg> DecodeHeartbeat(std::span<const uint8_t> payload) {
@@ -310,11 +297,9 @@ Result<HeartbeatMsg> DecodeHeartbeat(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeBusy(const BusyMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.retry_after_ms);
-  w.PutString(m.reason);
-  return w.bytes();
+void EncodeBusy(const BusyMsg& m, ByteWriter* w) {
+  w->PutVarint(m.retry_after_ms);
+  w->PutString(m.reason);
 }
 
 Result<BusyMsg> DecodeBusy(std::span<const uint8_t> payload) {
@@ -326,14 +311,12 @@ Result<BusyMsg> DecodeBusy(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeError(const ErrorMsg& m) {
-  ByteWriter w;
-  w.PutU8(m.code);
-  w.PutVarint(m.audit_id);
-  w.PutBool(m.fatal_to_session);
-  w.PutBool(m.fatal_to_connection);
-  w.PutString(m.message);
-  return w.bytes();
+void EncodeError(const ErrorMsg& m, ByteWriter* w) {
+  w->PutU8(m.code);
+  w->PutVarint(m.audit_id);
+  w->PutBool(m.fatal_to_session);
+  w->PutBool(m.fatal_to_connection);
+  w->PutString(m.message);
 }
 
 Result<ErrorMsg> DecodeError(std::span<const uint8_t> payload) {
@@ -355,10 +338,8 @@ Result<ErrorMsg> DecodeError(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeDrain(const DrainMsg& m) {
-  ByteWriter w;
-  w.PutString(m.message);
-  return w.bytes();
+void EncodeDrain(const DrainMsg& m, ByteWriter* w) {
+  w->PutString(m.message);
 }
 
 Result<DrainMsg> DecodeDrain(std::span<const uint8_t> payload) {
@@ -369,14 +350,12 @@ Result<DrainMsg> DecodeDrain(std::span<const uint8_t> payload) {
   return m;
 }
 
-std::vector<uint8_t> EncodeQuotaExceeded(const QuotaExceededMsg& m) {
-  ByteWriter w;
-  w.PutVarint(m.audit_id);
-  w.PutString(m.quota);
-  w.PutVarint(m.remaining);
-  w.PutBool(m.fatal_to_session);
-  w.PutString(m.message);
-  return w.bytes();
+void EncodeQuotaExceeded(const QuotaExceededMsg& m, ByteWriter* w) {
+  w->PutVarint(m.audit_id);
+  w->PutString(m.quota);
+  w->PutVarint(m.remaining);
+  w->PutBool(m.fatal_to_session);
+  w->PutString(m.message);
 }
 
 Result<QuotaExceededMsg> DecodeQuotaExceeded(

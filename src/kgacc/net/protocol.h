@@ -7,6 +7,7 @@
 
 #include "kgacc/eval/evaluator.h"
 #include "kgacc/net/frame.h"
+#include "kgacc/util/codec.h"
 #include "kgacc/util/status.h"
 
 /// \file protocol.h
@@ -233,22 +234,23 @@ struct QuotaExceededMsg {
   }
 };
 
-/// Payload codecs. Encode appends to a fresh payload vector; Decode
-/// consumes a payload span and rejects truncated or trailing bytes.
-std::vector<uint8_t> EncodeHello(const HelloMsg& m);
-std::vector<uint8_t> EncodeHelloAck(const HelloAckMsg& m);
-std::vector<uint8_t> EncodeOpenAudit(const OpenAuditMsg& m);
-std::vector<uint8_t> EncodeAuditOpened(const AuditOpenedMsg& m);
-std::vector<uint8_t> EncodeStepBatch(const StepBatchMsg& m);
-std::vector<uint8_t> EncodeIntervalUpdate(const IntervalUpdateMsg& m);
-std::vector<uint8_t> EncodeAuditReport(const AuditReportMsg& m);
-std::vector<uint8_t> EncodeCloseAudit(const CloseAuditMsg& m);
-std::vector<uint8_t> EncodeHeartbeat(const HeartbeatMsg& m);
-std::vector<uint8_t> EncodeHeartbeatAck(const HeartbeatMsg& m);
-std::vector<uint8_t> EncodeBusy(const BusyMsg& m);
-std::vector<uint8_t> EncodeError(const ErrorMsg& m);
-std::vector<uint8_t> EncodeDrain(const DrainMsg& m);
-std::vector<uint8_t> EncodeQuotaExceeded(const QuotaExceededMsg& m);
+/// Payload codecs. Encode appends a payload to the caller's writer, so a
+/// reused writer encodes without allocating; Decode consumes a payload span
+/// and rejects truncated or trailing bytes.
+void EncodeHello(const HelloMsg& m, ByteWriter* w);
+void EncodeHelloAck(const HelloAckMsg& m, ByteWriter* w);
+void EncodeOpenAudit(const OpenAuditMsg& m, ByteWriter* w);
+void EncodeAuditOpened(const AuditOpenedMsg& m, ByteWriter* w);
+void EncodeStepBatch(const StepBatchMsg& m, ByteWriter* w);
+void EncodeIntervalUpdate(const IntervalUpdateMsg& m, ByteWriter* w);
+void EncodeAuditReport(const AuditReportMsg& m, ByteWriter* w);
+void EncodeCloseAudit(const CloseAuditMsg& m, ByteWriter* w);
+void EncodeHeartbeat(const HeartbeatMsg& m, ByteWriter* w);
+void EncodeHeartbeatAck(const HeartbeatMsg& m, ByteWriter* w);
+void EncodeBusy(const BusyMsg& m, ByteWriter* w);
+void EncodeError(const ErrorMsg& m, ByteWriter* w);
+void EncodeDrain(const DrainMsg& m, ByteWriter* w);
+void EncodeQuotaExceeded(const QuotaExceededMsg& m, ByteWriter* w);
 
 Result<HelloMsg> DecodeHello(std::span<const uint8_t> payload);
 Result<HelloAckMsg> DecodeHelloAck(std::span<const uint8_t> payload);
@@ -265,14 +267,20 @@ Result<ErrorMsg> DecodeError(std::span<const uint8_t> payload);
 Result<DrainMsg> DecodeDrain(std::span<const uint8_t> payload);
 Result<QuotaExceededMsg> DecodeQuotaExceeded(std::span<const uint8_t> payload);
 
+/// The calling thread's payload writer for `AppendFrameOf`. It keeps its
+/// capacity, so once it has held the largest payload a thread sends,
+/// encoding a frame allocates nothing.
+ByteWriter& FrameScratch();
+
 /// Appends a complete frame (header + payload + CRC) for a message to
 /// `out` — how the daemon writes replies straight into an outbox.
 template <typename EncodeFn, typename Msg>
 void AppendFrameOf(MessageType type, EncodeFn encode, const Msg& m,
                    std::vector<uint8_t>* out) {
-  const std::vector<uint8_t> payload = encode(m);
-  AppendNetFrame(static_cast<uint8_t>(type), {payload.data(), payload.size()},
-                 out);
+  ByteWriter& payload = FrameScratch();
+  payload.Clear();
+  encode(m, &payload);
+  AppendNetFrame(static_cast<uint8_t>(type), payload.span(), out);
 }
 
 /// Encodes a complete frame (header + payload + CRC) for a message.

@@ -46,8 +46,7 @@ void AppendQuota(uint64_t audit_id, const std::string& quota,
 
 }  // namespace
 
-/// One TCP peer. Owned by one loop at a time: the front loop until its
-/// first audit attaches, then its home loop for the rest of its life.
+/// One TCP peer, owned for its whole life by the loop that accepted it.
 struct AuditDaemon::Connection {
   OwnedFd fd;
   FrameAssembler assembler;
@@ -111,13 +110,13 @@ struct AuditDaemon::Session {
   }
 };
 
-/// One event-loop thread and what it alone touches: its connections, the
-/// sessions attached to them and its DRR queue.
+/// One event-loop thread and what it alone touches: its listener, its
+/// connections, the sessions attached to them and its DRR queue.
 struct AuditDaemon::Loop {
   explicit Loop(uint64_t drr_quantum) : sched(drr_quantum) {}
 
-  /// The listener thread's loop (also polls the listen socket).
-  bool front = false;
+  /// This loop's member of the daemon's SO_REUSEPORT listener group.
+  OwnedFd listener;
   OwnedFd wake_read;
   OwnedFd wake_write;
   std::map<int, std::unique_ptr<Connection>> conns;
@@ -129,9 +128,6 @@ struct AuditDaemon::Loop {
   DrrScheduler sched;
   /// poll() arguments, reused across iterations.
   std::vector<pollfd> fds;
-  /// Connections handed over by the listener thread, adopted on wake.
-  std::mutex inbox_mu;
-  std::vector<std::unique_ptr<Connection>> inbox;
   std::thread thread;
 
   void Wake() const {
@@ -163,18 +159,18 @@ Status AuditDaemon::Start() {
     return Status::IoError("mkdir(" + options_.store_dir +
                            "): " + std::strerror(errno));
   }
-  KGACC_ASSIGN_OR_RETURN(OwnedFd listener, ListenTcp(options_.port));
-  KGACC_ASSIGN_OR_RETURN(port_, LocalPort(listener.get()));
-  listener_ = std::move(listener);
   int workers = options_.workers;
   if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
   }
   if (workers <= 0) workers = 1;
-  // The front loop (the listener thread's), then `workers` step loops.
+  KGACC_ASSIGN_OR_RETURN(std::vector<OwnedFd> listeners,
+                         ListenTcpGroup(options_.port, workers));
+  KGACC_ASSIGN_OR_RETURN(port_, LocalPort(listeners.front().get()));
   std::vector<std::unique_ptr<Loop>> loops;
-  for (int i = 0; i <= workers; ++i) {
+  for (OwnedFd& listener : listeners) {
     auto loop = std::make_unique<Loop>(options_.drr_quantum);
+    loop->listener = std::move(listener);
     int pipe_fds[2];
     if (pipe(pipe_fds) != 0) {
       return Status::IoError(std::string("pipe: ") + std::strerror(errno));
@@ -195,27 +191,22 @@ Status AuditDaemon::Start() {
                         ledger_options);
   if (!ledger.ok()) return ledger.status();
   ledger_ = std::move(*ledger);
-  front_ = std::move(loops.front());
-  front_->front = true;
-  loops_.assign(std::make_move_iterator(loops.begin() + 1),
-                std::make_move_iterator(loops.end()));
+  loops_ = std::move(loops);
   started_.store(true, std::memory_order_release);
   for (auto& loop : loops_) {
     loop->thread = std::thread(&AuditDaemon::Serve, this, std::ref(*loop));
   }
-  listener_thread_ = std::thread(&AuditDaemon::ListenerMain, this);
+  drain_thread_ = std::thread(&AuditDaemon::DrainMain, this);
   return Status::OK();
 }
 
 void AuditDaemon::RequestDrain() {
   draining_.store(true, std::memory_order_release);
-  if (front_ == nullptr) return;
-  front_->Wake();
   for (const auto& loop : loops_) loop->Wake();
 }
 
 void AuditDaemon::Wait() {
-  if (listener_thread_.joinable()) listener_thread_.join();
+  if (drain_thread_.joinable()) drain_thread_.join();
 }
 
 void AuditDaemon::Stop() {
@@ -341,9 +332,9 @@ void AuditDaemon::CloseConnection(Loop& loop, int fd, const Status& cause) {
   live_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void AuditDaemon::DoAccept() {
+void AuditDaemon::DoAccept(Loop& loop) {
   while (true) {
-    auto accepted = AcceptTcp(listener_.get());
+    auto accepted = AcceptTcp(loop.listener.get());
     if (!accepted.ok()) return;  // transient; the loop retries next wake
     if (!accepted->valid()) return;
     if (FailpointHit("net.accept")) {
@@ -353,9 +344,12 @@ void AuditDaemon::DoAccept() {
       continue;
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    if (live_connections_.load(std::memory_order_relaxed) >=
+    // Reserve the slot, then check: loops accept concurrently, and a check
+    // before the add would let them overshoot the limit together.
+    if (live_connections_.fetch_add(1, std::memory_order_relaxed) >=
             options_.max_connections ||
         draining()) {
+      live_connections_.fetch_sub(1, std::memory_order_relaxed);
       // Courtesy push-back for a connection the daemon will not serve:
       // a Busy frame (best effort into the socket buffer), then close.
       stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
@@ -366,14 +360,13 @@ void AuditDaemon::DoAccept() {
       (void)!send(accepted->get(), frame.data(), frame.size(), MSG_NOSIGNAL);
       continue;
     }
-    live_connections_.fetch_add(1, std::memory_order_relaxed);
     const int fd = accepted->get();
     auto conn = std::make_unique<Connection>(std::move(*accepted));
     Connection& added = *conn;
-    front_->conns.emplace(fd, std::move(conn));
-    // A client sends Hello right behind its connect: read it now rather
-    // than on the next poll.
-    (void)ServiceReadable(*front_, added);
+    loop.conns.emplace(fd, std::move(conn));
+    // A client sends Hello (and usually its open) right behind its
+    // connect: read it now rather than on the next poll.
+    (void)ServiceReadable(loop, added);
   }
 }
 
@@ -402,29 +395,23 @@ bool AuditDaemon::ServiceReadable(Loop& loop, Connection& conn) {
       buf[static_cast<size_t>(n) / 2] ^= 0x40;
     }
     conn.assembler.Feed({buf, static_cast<size_t>(n)});
-    if (!DispatchFrames(loop, conn)) return false;
-    if (loop.front && !conn.sessions.empty()) break;  // Leaving for its loop.
-    if (static_cast<size_t>(n) < sizeof(buf)) break;
-  }
-  return true;
-}
-
-bool AuditDaemon::DispatchFrames(Loop& loop, Connection& conn) {
-  while (!(loop.front && !conn.sessions.empty())) {
-    NetFrame frame;
-    const auto next = conn.assembler.Next(&frame);
-    if (!next.ok()) {
-      // Corrupt stream: tell the peer why (best effort — its read side
-      // usually still works), then fail the connection, not the daemon.
-      std::vector<uint8_t> bytes;
-      AppendError(next.status().code(), 0, false, true,
-                  next.status().message(), &bytes);
-      (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      CloseConnection(loop, conn.fd.get(), next.status());
-      return false;
+    while (true) {
+      NetFrame frame;
+      const auto next = conn.assembler.Next(&frame);
+      if (!next.ok()) {
+        // Corrupt stream: tell the peer why (best effort — its read side
+        // usually still works), then fail the connection, not the daemon.
+        std::vector<uint8_t> bytes;
+        AppendError(next.status().code(), 0, false, true,
+                    next.status().message(), &bytes);
+        (void)!send(conn.fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        CloseConnection(loop, conn.fd.get(), next.status());
+        return false;
+      }
+      if (!*next) break;
+      if (!HandleFrame(loop, conn, frame)) return false;
     }
-    if (!*next) break;
-    if (!HandleFrame(loop, conn, frame)) return false;
+    if (static_cast<size_t>(n) < sizeof(buf)) break;
   }
   return true;
 }
@@ -989,39 +976,6 @@ bool AuditDaemon::RunBatch(Session& session, uint64_t steps,
   return false;
 }
 
-void AuditDaemon::AdoptInbox(Loop& loop) {
-  std::vector<std::unique_ptr<Connection>> arrived;
-  {
-    std::lock_guard<std::mutex> lock(loop.inbox_mu);
-    arrived.swap(loop.inbox);
-  }
-  for (std::unique_ptr<Connection>& owned : arrived) {
-    Connection& conn = *owned;
-    for (Session* session : conn.sessions) {
-      loop.sessions[session->audit_id] = session;
-    }
-    loop.conns.emplace(conn.fd.get(), std::move(owned));
-    // Frames that arrived behind the first OpenAudit came along in the
-    // assembler; the first StepBatch may already wait in the socket.
-    if (DispatchFrames(loop, conn)) (void)ServiceReadable(loop, conn);
-  }
-}
-
-void AuditDaemon::HandOff(Loop& front, int fd) {
-  auto it = front.conns.find(fd);
-  std::unique_ptr<Connection> conn = std::move(it->second);
-  front.conns.erase(it);
-  for (const Session* session : conn->sessions) {
-    front.sessions.erase(session->audit_id);
-  }
-  Loop& home = *loops_[conn->sessions.front()->audit_id % loops_.size()];
-  {
-    std::lock_guard<std::mutex> lock(home.inbox_mu);
-    home.inbox.push_back(std::move(conn));
-  }
-  home.Wake();
-}
-
 void AuditDaemon::SettleConnections(Loop& loop) {
   for (auto it = loop.conns.begin(); it != loop.conns.end();) {
     // Each branch below removes at most the current entry.
@@ -1033,8 +987,6 @@ void AuditDaemon::SettleConnections(Loop& loop) {
     } else if (conn.close_after_flush &&
                conn.outbox_off >= conn.outbox.size()) {
       CloseConnection(loop, fd, Status::OK());
-    } else if (loop.front && !conn.sessions.empty()) {
-      HandOff(loop, fd);
     }
     it = next;
   }
@@ -1059,8 +1011,8 @@ void AuditDaemon::ReapIdle(Loop& loop) {
 void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
   loop.fds.clear();
   loop.fds.push_back({loop.wake_read.get(), POLLIN, 0});
-  const bool listening = loop.front && listener_.valid();
-  if (listening) loop.fds.push_back({listener_.get(), POLLIN, 0});
+  const bool listening = loop.listener.valid();
+  if (listening) loop.fds.push_back({loop.listener.get(), POLLIN, 0});
   const size_t first_conn = loop.fds.size();
   for (const auto& [fd, conn] : loop.conns) {
     short events = POLLIN;
@@ -1089,9 +1041,8 @@ void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
     // and the next poll returns at once.
     uint8_t scratch[256];
     (void)!read(loop.wake_read.get(), scratch, sizeof(scratch));
-    AdoptInbox(loop);
   }
-  if (listening && (loop.fds[1].revents & POLLIN) != 0) DoAccept();
+  if (listening && (loop.fds[1].revents & POLLIN) != 0) DoAccept(loop);
   for (size_t i = first_conn; i < loop.fds.size(); ++i) {
     const short revents = loop.fds[i].revents;
     if (revents == 0) continue;
@@ -1107,7 +1058,6 @@ void AuditDaemon::PollOnce(Loop& loop, int timeout_ms) {
 }
 
 void AuditDaemon::DrainLoop(Loop& loop) {
-  AdoptInbox(loop);
   DrainMsg notice;
   notice.message = "daemon draining; sessions checkpointed, reconnect to "
                    "resume";
@@ -1128,19 +1078,15 @@ void AuditDaemon::Serve(Loop& loop) {
     SettleConnections(loop);
     ReapIdle(loop);
   }
-  // Stop admitting: the listener closes (new connects are refused by the
-  // kernel), live clients get a Drain notice, queued batches are shed.
-  if (loop.front) listener_.Reset();
+  // Stop admitting: the listener closes (once every loop's has, new
+  // connects are refused by the kernel), live clients get a Drain notice,
+  // queued batches are shed.
+  loop.listener.Reset();
   DrainLoop(loop);
 }
 
-void AuditDaemon::ListenerMain() {
-  Serve(*front_);
-  for (auto& loop : loops_) {
-    loop->thread.join();
-    // A connection handed over as its loop exited still gets its notice.
-    DrainLoop(*loop);
-  }
+void AuditDaemon::DrainMain() {
+  for (auto& loop : loops_) loop->thread.join();
 
   // Drain epilogue: every live session checkpoints, then every per-KG
   // store settles once — flush, fsync, and a final compaction so a restart
@@ -1171,12 +1117,10 @@ void AuditDaemon::ListenerMain() {
   if (ledger_ != nullptr) settle("tenant ledger", *ledger_);
   // The Drain notices go out only now, so what they say — sessions
   // checkpointed — holds when they arrive.
-  const auto close_all = [this](Loop& loop) {
-    for (auto& [fd, conn] : loop.conns) (void)FlushOutbox(*conn);
-    loop.conns.clear();
-  };
-  close_all(*front_);
-  for (auto& loop : loops_) close_all(*loop);
+  for (auto& loop : loops_) {
+    for (auto& [fd, conn] : loop->conns) (void)FlushOutbox(*conn);
+    loop->conns.clear();
+  }
   sessions_.clear();
 }
 

@@ -28,15 +28,18 @@
 /// OSDI '14): N event loops each poll only the connections they own, read
 /// their `StepBatch` frames into a per-loop weighted DRR queue, run one
 /// batch per pick on the same thread, and write the `IntervalUpdate` /
-/// `AuditReport` frames straight into that connection's outbox. A step
-/// never crosses threads inside the daemon. A listener thread accepts,
-/// answers Hello, and admits a connection's first OpenAudit; it then hands
-/// the connection to loop `audit_id % loops`. Later audits on that
-/// connection, and a detached session it re-adopts, run on its loop. The
-/// state loops share — the session registry, the per-KG stores and the
-/// tenants' in-flight step account — sits behind one registry mutex, taken
-/// at open, close and detach, and per batch only for tenants with an
-/// in-flight step cap.
+/// `AuditReport` frames straight into that connection's outbox. There is no
+/// listener thread: each loop owns one listener of an SO_REUSEPORT group on
+/// the daemon's port, so the kernel places connections across the loops
+/// (as in Affinity-Accept, Pesterev et al., EuroSys '12), and a connection
+/// is accepted, greeted, opened and stepped on the one loop that owns it.
+/// Neither a step nor an open crosses threads inside the daemon; a client
+/// that pipelines Hello, OpenAudit and its first StepBatch gets all three
+/// answers in one write. Every audit on a connection, and a detached
+/// session it re-adopts, runs on its loop. The state loops share — the
+/// session registry, the per-KG stores and the tenants' in-flight step
+/// account — sits behind one registry mutex, taken at open, close and
+/// detach, and per batch only for tenants with an in-flight step cap.
 ///
 /// Robustness model, in one paragraph: the *session* (audit id + durable
 /// `AnnotationStore` file) is the unit that survives; the *connection* is
@@ -74,8 +77,8 @@ class AuditDaemon {
     /// bought by any audit serve every later audit of that KG, and
     /// concurrent sessions append through the store's group-commit queue.
     std::string store_dir;
-    /// Event loops, each owning its connections and running their steps
-    /// (0 = hardware concurrency).
+    /// Event loops, each accepting its own connections and running their
+    /// steps (0 = hardware concurrency).
     int workers = 0;
     /// Admission control: live (unfinished) sessions the daemon holds.
     size_t max_sessions = 64;
@@ -169,7 +172,9 @@ class AuditDaemon {
   /// daemon.
   void RegisterKg(const std::string& name, const KnowledgeGraph* kg);
 
-  /// Binds the listener, spawns the event loops and the listener thread.
+  /// Binds the loops' listener group on `Options::port`, then spawns the
+  /// event loops and the thread that waits for them to drain. Fails when
+  /// something already listens on the port.
   Status Start();
 
   /// Initiates graceful drain: stop admitting, notify clients, checkpoint
@@ -177,7 +182,8 @@ class AuditDaemon {
   /// signal handler path (sets a flag and writes the wake pipes).
   void RequestDrain();
 
-  /// Blocks until the listener thread has exited (i.e. drain completed).
+  /// Blocks until the drain has completed (every loop stopped and the
+  /// drain epilogue ran).
   void Wait();
 
   /// RequestDrain + Wait.
@@ -203,24 +209,21 @@ class AuditDaemon {
   struct Session;
   struct Loop;
 
-  /// The listener thread: serves the front loop (accept, Hello, first
-  /// OpenAudit), then joins the step loops and runs the drain epilogue.
-  void ListenerMain();
-  /// One event loop's life: poll, read, run one DRR-picked batch, flush —
-  /// until drain, then notify its peers and shed its queue.
+  /// Joins the loops once they have drained, then runs the drain epilogue.
+  void DrainMain();
+  /// One event loop's life: poll, accept, read, run one DRR-picked batch,
+  /// flush — until drain, then notify its peers and shed its queue.
   void Serve(Loop& loop);
   /// One poll() over the loop's descriptors (blocking for at most
-  /// `timeout_ms`), then accepts, adopts handed-over connections and reads
-  /// every readable connection.
+  /// `timeout_ms`), then accepts on the loop's listener and reads every
+  /// readable connection.
   void PollOnce(Loop& loop, int timeout_ms);
-  void DoAccept();
+  /// Accepts every pending connection on the loop's listener, admits it
+  /// and serves what it already sent.
+  void DoAccept(Loop& loop);
   /// Reads whatever the socket has and dispatches every complete frame.
   /// Returns false when the connection was closed.
   bool ServiceReadable(Loop& loop, Connection& conn);
-  /// Dispatches the assembler's complete frames; the front loop stops at
-  /// the first attached audit (the rest travel with the connection to its
-  /// loop). Returns false when the connection was closed.
-  bool DispatchFrames(Loop& loop, Connection& conn);
   bool HandleFrame(Loop& loop, Connection& conn, const NetFrame& frame);
   void HandleOpenAudit(Loop& loop, Connection& conn, const OpenAuditMsg& msg);
   void HandleStepBatch(Loop& loop, Connection& conn, const StepBatchMsg& msg);
@@ -240,13 +243,8 @@ class AuditDaemon {
   /// returning the admission slots (connection inflight counter, tenant
   /// inflight steps) they held.
   void DropQueuedBatches(Loop& loop, Session& session);
-  /// Flushes outboxes, closes finished connections and, on the front loop,
-  /// hands connections with an attached audit to their loop.
+  /// Flushes outboxes and closes finished connections.
   void SettleConnections(Loop& loop);
-  /// Moves a front-loop connection to loop `audit_id % loops`.
-  void HandOff(Loop& front, int fd);
-  /// Takes ownership of the connections the listener handed over.
-  void AdoptInbox(Loop& loop);
   /// Flushes as much outbox as the socket accepts. False = failed.
   bool FlushOutbox(Connection& conn);
   void QueueError(Connection& conn, StatusCode code, uint64_t audit_id,
@@ -267,8 +265,8 @@ class AuditDaemon {
   /// the registry.
   void EndSession(Loop& loop, Session& session);
   void ReapIdle(Loop& loop);
-  /// Queues a Drain notice on every connection of the loop (adopting any
-  /// still in its inbox) and sheds its DRR queue.
+  /// Queues a Drain notice on every connection of the loop and sheds its
+  /// DRR queue.
   void DrainLoop(Loop& loop);
   /// The shared annotation store for a registered KG, opened on first use
   /// (`store_dir/kg_<sanitized-name>-<crc32-of-raw-name>.wal`; the hash
@@ -296,15 +294,11 @@ class AuditDaemon {
   Stats stats_;
   std::map<std::string, const KnowledgeGraph*> kgs_;
 
-  OwnedFd listener_;
   uint16_t port_ = 0;
-  /// The listener thread's loop: accepted connections live here until
-  /// their first audit attaches.
-  std::unique_ptr<Loop> front_;
-  /// The step loops, one thread each; a connection's home is
-  /// `loops_[first audit_id % loops_.size()]`.
+  /// The event loops, one thread and one listener each; a connection lives
+  /// on the loop whose listener accepted it.
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::thread listener_thread_;
+  std::thread drain_thread_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> started_{false};
   /// Open connections across all loops (admission control).

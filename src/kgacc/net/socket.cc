@@ -33,6 +33,27 @@ sockaddr_in LoopbackAddr(uint16_t port) {
   return addr;
 }
 
+/// A SO_REUSEADDR socket bound to 127.0.0.1:`port`, optionally also
+/// SO_REUSEPORT.
+Result<OwnedFd> BoundSocket(uint16_t port, bool reuse_port) {
+  OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  if (!fd.valid()) return Errno("socket");
+  int one = 1;
+  if (setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) !=
+      0) {
+    return Errno("setsockopt(SO_REUSEADDR)");
+  }
+  if (reuse_port && setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                               sizeof(one)) != 0) {
+    return Errno("setsockopt(SO_REUSEPORT)");
+  }
+  sockaddr_in addr = LoopbackAddr(port);
+  if (bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return Errno("bind(127.0.0.1:" + std::to_string(port) + ")");
+  }
+  return fd;
+}
+
 }  // namespace
 
 void OwnedFd::Reset() {
@@ -42,21 +63,29 @@ void OwnedFd::Reset() {
   }
 }
 
-Result<OwnedFd> ListenTcp(uint16_t port, int backlog) {
-  OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) return Errno("socket");
-  int one = 1;
-  if (setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) !=
-      0) {
-    return Errno("setsockopt(SO_REUSEADDR)");
+Result<std::vector<OwnedFd>> ListenTcpGroup(uint16_t port, int count,
+                                            int backlog) {
+  // The probe is a plain socket: it cannot bind next to a listener, not
+  // even one in a reuseport group that a second daemon of this user would
+  // silently join. It also fixes an ephemeral port for the group, and holds
+  // it while the group binds (bound sockets that all set SO_REUSEADDR and
+  // do not listen yet do not conflict).
+  KGACC_ASSIGN_OR_RETURN(OwnedFd probe, BoundSocket(port, false));
+  KGACC_ASSIGN_OR_RETURN(const uint16_t bound, LocalPort(probe.get()));
+  std::vector<OwnedFd> group;
+  for (int i = 0; i < count; ++i) {
+    KGACC_ASSIGN_OR_RETURN(OwnedFd fd, BoundSocket(bound, true));
+    group.push_back(std::move(fd));
   }
-  sockaddr_in addr = LoopbackAddr(port);
-  if (bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return Errno("bind(127.0.0.1:" + std::to_string(port) + ")");
+  // A listening member would conflict with the probe.
+  probe.Reset();
+  for (const OwnedFd& fd : group) {
+    // Accepted sockets inherit TCP_NODELAY from their listener.
+    KGACC_RETURN_IF_ERROR(SetNoDelay(fd.get()));
+    if (listen(fd.get(), backlog) != 0) return Errno("listen");
+    KGACC_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
   }
-  if (listen(fd.get(), backlog) != 0) return Errno("listen");
-  KGACC_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
-  return fd;
+  return group;
 }
 
 Result<uint16_t> LocalPort(int fd) {
@@ -86,16 +115,13 @@ Result<OwnedFd> ConnectTcp(uint16_t port) {
 Result<OwnedFd> AcceptTcp(int listener_fd) {
   int raw;
   do {
-    raw = accept(listener_fd, nullptr, nullptr);
+    raw = accept4(listener_fd, nullptr, nullptr, SOCK_NONBLOCK);
   } while (raw < 0 && errno == EINTR);
   if (raw < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return OwnedFd();
     return Errno("accept");
   }
-  OwnedFd fd(raw);
-  KGACC_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
-  KGACC_RETURN_IF_ERROR(SetNoDelay(fd.get()));
-  return fd;
+  return OwnedFd(raw);
 }
 
 Status SetNonBlocking(int fd) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "kgacc/util/status.h"
 
@@ -52,9 +53,14 @@ class OwnedFd {
 };
 
 /// Binds and listens on 127.0.0.1:`port` (0 = kernel-assigned ephemeral
-/// port; read it back with `LocalPort`). The listener is nonblocking and
+/// port; read it back with `LocalPort`) with `count` listeners in one
+/// SO_REUSEPORT group: the kernel spreads incoming connections over them,
+/// so each event loop can accept its own. The listeners are nonblocking and
 /// SO_REUSEADDR so a drained daemon restarts on its old port immediately.
-Result<OwnedFd> ListenTcp(uint16_t port, int backlog = 64);
+/// A port something else listens on fails here, as a lone listener's bind
+/// would, even when it is another group the same user could join.
+Result<std::vector<OwnedFd>> ListenTcpGroup(uint16_t port, int count,
+                                            int backlog = 64);
 
 /// The locally bound port of a socket (getsockname).
 Result<uint16_t> LocalPort(int fd);
@@ -63,9 +69,10 @@ Result<uint16_t> LocalPort(int fd);
 /// is small request/reply frames; Nagle would serialize them).
 Result<OwnedFd> ConnectTcp(uint16_t port);
 
-/// Accepts one pending connection from a nonblocking listener: the new fd
-/// (nonblocking, TCP_NODELAY), or an invalid OwnedFd when no connection is
-/// pending (EAGAIN), or an error status.
+/// Accepts one pending connection from a nonblocking `ListenTcpGroup`
+/// listener: the new fd (nonblocking, and TCP_NODELAY like the listener),
+/// or an invalid OwnedFd when no connection is pending (EAGAIN), or an
+/// error status.
 Result<OwnedFd> AcceptTcp(int listener_fd);
 
 /// Switches a descriptor to nonblocking mode.

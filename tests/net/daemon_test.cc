@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kgacc/eval/report.h"
@@ -132,6 +133,9 @@ class TestPeer {
     }
   }
 
+  /// Bytes received but not yet returned as frames.
+  size_t buffered_bytes() const { return assembler_.buffered_bytes(); }
+
   /// True when the daemon has closed the connection (EOF or reset).
   bool ReadUntilClosed() {
     for (int i = 0; i < 20; ++i) {
@@ -207,6 +211,52 @@ AuditOpenedMsg OpenOn(TestPeer& peer, const OpenAuditMsg& open) {
       DecodeAuditOpened({frame->payload.data(), frame->payload.size()});
   EXPECT_TRUE(opened.ok());
   return opened.ok() ? *opened : AuditOpenedMsg{};
+}
+
+/// Opens `open` on a fresh connection, runs `steps` steps, then detaches the
+/// session: CloseAudit, fenced by a heartbeat whose ack leaves the loop
+/// after the detach did. The kernel picks the connection's loop. Returns
+/// the AuditOpened reply.
+AuditOpenedMsg StepAndDetach(uint16_t port, const OpenAuditMsg& open,
+                             uint64_t steps) {
+  TestPeer peer;
+  EXPECT_TRUE(peer.Connect(port).ok());
+  const AuditOpenedMsg opened = OpenOn(peer, open);
+  if (steps != 0) {
+    EXPECT_TRUE(peer.Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch,
+                                  StepBatchMsg{open.audit_id, steps}))
+                    .ok());
+  }
+  for (uint64_t i = 0; i < steps; ++i) {
+    auto update = peer.Read();
+    EXPECT_TRUE(update.ok()) << update.status().ToString();
+    if (!update.ok()) return opened;
+    EXPECT_EQ(update->type,
+              static_cast<uint8_t>(MessageType::kIntervalUpdate));
+  }
+  EXPECT_TRUE(peer.Send(FrameOf(MessageType::kCloseAudit, EncodeCloseAudit,
+                                CloseAuditMsg{open.audit_id}))
+                  .ok());
+  EXPECT_TRUE(peer.Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat,
+                                HeartbeatMsg{open.audit_id}))
+                  .ok());
+  auto ack = peer.Read();
+  EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+  if (ack.ok()) {
+    EXPECT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
+  }
+  return opened;
+}
+
+/// Hello, OpenAudit and a one-step StepBatch in one buffer, as a pipelining
+/// client sends them.
+std::vector<uint8_t> PipelinedOpen(const OpenAuditMsg& open) {
+  std::vector<uint8_t> bytes;
+  AppendFrameOf(MessageType::kHello, EncodeHello, HelloMsg{}, &bytes);
+  AppendFrameOf(MessageType::kOpenAudit, EncodeOpenAudit, open, &bytes);
+  AppendFrameOf(MessageType::kStepBatch, EncodeStepBatch,
+                StepBatchMsg{open.audit_id, 1}, &bytes);
+  return bytes;
 }
 
 TEST(AuditDaemonTest, HappyPathMatchesLocalRunByteForByte) {
@@ -824,98 +874,292 @@ TEST(AuditDaemonTest, ANetworkedStepCostsAtMostTwoContextSwitches) {
 }
 
 TEST(AuditDaemonTest, SessionDetachedOnOneLoopIsReadoptedOnAnother) {
-  // Audit 1 opens on loop 1 and detaches there; a connection homed on
-  // loop 2 (by its first audit, 2) re-adopts it and runs it to the end.
+  // Audit 1 opens on one connection and is re-adopted by 15 more
+  // connections in turn, each running a step while two or more remain; a
+  // last one runs it to its end. The kernel spreads connections over the
+  // two loops, so unless all 17 land on one loop (odds 2^-16) the session
+  // detaches on one loop and is re-adopted on the other, and the report is
+  // still the reference.
   const KnowledgeGraph kg = TestKg();
-  const std::string reference =
-      RenderedJson("kg", "SRS", ReferenceRun(kg, 42));
+  const EvaluationResult reference = ReferenceRun(kg, 42);
+  ASSERT_GE(reference.iterations, 2);
+  const uint64_t last_step = static_cast<uint64_t>(reference.iterations) - 2;
   const std::string dir = TempDir("readopt_cross_loop");
   auto options = DaemonOptions(dir);
-  options.workers = 4;
+  options.workers = 2;
   AuditDaemon daemon(options);
   daemon.RegisterKg("kg", &kg);
   ASSERT_TRUE(daemon.Start().ok());
 
-  OpenAuditMsg first;
-  first.audit_id = 1;
-  first.kg_name = "kg";
-  TestPeer origin;
-  ASSERT_TRUE(origin.Connect(daemon.port()).ok());
-  OpenOn(origin, first);
-  ASSERT_TRUE(origin
-                  .Send(FrameOf(MessageType::kStepBatch, EncodeStepBatch,
-                                StepBatchMsg{1, 2}))
-                  .ok());
-  for (int i = 0; i < 2; ++i) {
-    auto update = origin.Read();
-    ASSERT_TRUE(update.ok()) << update.status().ToString();
-    ASSERT_EQ(update->type,
-              static_cast<uint8_t>(MessageType::kIntervalUpdate));
+  OpenAuditMsg open;
+  open.audit_id = 1;
+  open.kg_name = "kg";
+  uint64_t steps_done = 0;
+  for (uint64_t i = 0; i < 16; ++i) {
+    const uint64_t steps = steps_done < last_step ? 1 : 0;
+    const AuditOpenedMsg opened = StepAndDetach(daemon.port(), open, steps);
+    EXPECT_EQ(opened.resumed, i > 0);
+    EXPECT_EQ(opened.start_step, steps_done);
+    steps_done += steps;
   }
-  // Detach, and fence on a heartbeat: its ack leaves the same loop after
-  // the detach did.
-  ASSERT_TRUE(origin
-                  .Send(FrameOf(MessageType::kCloseAudit, EncodeCloseAudit,
-                                CloseAuditMsg{1}))
-                  .ok());
-  ASSERT_TRUE(origin
-                  .Send(FrameOf(MessageType::kHeartbeat, EncodeHeartbeat,
-                                HeartbeatMsg{5}))
-                  .ok());
-  auto ack = origin.Read();
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  ASSERT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHeartbeatAck));
-
   TestPeer adopter;
   ASSERT_TRUE(adopter.Connect(daemon.port()).ok());
-  OpenAuditMsg second = first;
-  second.audit_id = 2;
-  EXPECT_FALSE(OpenOn(adopter, second).resumed);
-  const AuditOpenedMsg readopted = OpenOn(adopter, first);
+  const AuditOpenedMsg readopted = OpenOn(adopter, open);
   EXPECT_TRUE(readopted.resumed);
-  EXPECT_EQ(readopted.start_step, 2u);
+  EXPECT_EQ(readopted.start_step, steps_done);
 
-  const auto reports = RunToReports(adopter, {1, 2});
-  ASSERT_EQ(reports.size(), 2u);
-  for (const auto& [id, report] : reports) {
-    EXPECT_EQ(RenderedJson("kg", report.design_name, report.result),
-              reference)
-        << "audit " << id;
-  }
-  EXPECT_EQ(daemon.stats().sessions_resumed.load(), 1u);
+  const auto reports = RunToReports(adopter, {1});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(RenderedJson("kg", reports.at(1).design_name,
+                         reports.at(1).result),
+            RenderedJson("kg", "SRS", reference));
+  EXPECT_EQ(daemon.stats().sessions_resumed.load(), 16u);
   daemon.Stop();
 }
 
 TEST(AuditDaemonTest, OneConnectionRunsAuditsOfDifferentLoopsOnItsOwn) {
-  // Audits 1 and 2 map to different loops; both run on the loop of the
-  // connection that opened them, interleaved, each on its own reference.
+  // Audits 1 and 2 take turns on 16 connections, one step each, so they
+  // run on both loops (unless all 16 land on one, odds 2^-15). A last
+  // connection adopts both and runs them interleaved on its own loop, each
+  // to its own reference.
   const KnowledgeGraph kg = TestKg();
+  const EvaluationResult reference42 = ReferenceRun(kg, 42);
+  const EvaluationResult reference7 = ReferenceRun(kg, 7);
+  ASSERT_GT(reference42.iterations, 8);
+  ASSERT_GT(reference7.iterations, 8);
   const std::string dir = TempDir("two_audits_one_conn");
   auto options = DaemonOptions(dir);
-  options.workers = 4;
+  options.workers = 2;
   AuditDaemon daemon(options);
   daemon.RegisterKg("kg", &kg);
   ASSERT_TRUE(daemon.Start().ok());
 
-  TestPeer peer;
-  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
   OpenAuditMsg open;
   open.kg_name = "kg";
-  open.audit_id = 1;
-  open.seed = 42;
-  OpenOn(peer, open);
-  open.audit_id = 2;
-  open.seed = 7;
-  OpenOn(peer, open);
+  for (int i = 0; i < 16; ++i) {
+    open.audit_id = 1 + i % 2;
+    open.seed = open.audit_id == 1 ? 42 : 7;
+    EXPECT_EQ(StepAndDetach(daemon.port(), open, 1).start_step,
+              static_cast<uint64_t>(i / 2));
+  }
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port()).ok());
+  for (const uint64_t id : {1, 2}) {
+    open.audit_id = id;
+    open.seed = id == 1 ? 42 : 7;
+    EXPECT_EQ(OpenOn(peer, open).start_step, 8u);
+  }
 
   const auto reports = RunToReports(peer, {1, 2});
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(RenderedJson("kg", reports.at(1).design_name,
                          reports.at(1).result),
-            RenderedJson("kg", "SRS", ReferenceRun(kg, 42)));
+            RenderedJson("kg", "SRS", reference42));
   EXPECT_EQ(RenderedJson("kg", reports.at(2).design_name,
                          reports.at(2).result),
-            RenderedJson("kg", "SRS", ReferenceRun(kg, 7)));
+            RenderedJson("kg", "SRS", reference7));
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, PipelinedOpenAnswersInOneFlush) {
+  // Hello, OpenAudit and the first StepBatch in one write: the loop that
+  // accepts the connection answers all three, and writes the answers
+  // together, so they arrive in one read.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("pipelined_open");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port(), /*hello=*/false).ok());
+  OpenAuditMsg open;
+  open.audit_id = 3;
+  open.kg_name = "kg";
+  ASSERT_TRUE(peer.Send(PipelinedOpen(open)).ok());
+  for (const MessageType expected :
+       {MessageType::kHelloAck, MessageType::kAuditOpened,
+        MessageType::kIntervalUpdate}) {
+    auto frame = peer.Read();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->type, static_cast<uint8_t>(expected))
+        << MessageTypeName(frame->type);
+    if (expected == MessageType::kHelloAck) {
+      EXPECT_GT(peer.buffered_bytes(), 0u);
+    }
+  }
+  EXPECT_EQ(peer.buffered_bytes(), 0u);
+  EXPECT_EQ(daemon.stats().steps_executed.load(), 1u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, PipelinedStepBehindARejectedOpenIsHarmless) {
+  // The open names no registered KG: it earns an Error, and the StepBatch
+  // behind it a session-fatal Error. Neither is fatal to the connection,
+  // which then opens a valid audit and runs it to the reference report.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("pipelined_rejected");
+  AuditDaemon daemon(DaemonOptions(dir));
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  TestPeer peer;
+  ASSERT_TRUE(peer.Connect(daemon.port(), /*hello=*/false).ok());
+  OpenAuditMsg open;
+  open.audit_id = 4;
+  open.kg_name = "no-such-population";
+  ASSERT_TRUE(peer.Send(PipelinedOpen(open)).ok());
+  auto ack = peer.Read();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->type, static_cast<uint8_t>(MessageType::kHelloAck));
+  for (const StatusCode code :
+       {StatusCode::kNotFound, StatusCode::kFailedPrecondition}) {
+    auto frame = peer.Read();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kError));
+    auto error = DecodeError({frame->payload.data(), frame->payload.size()});
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->code, static_cast<uint8_t>(code)) << error->message;
+    EXPECT_EQ(error->audit_id, 4u);
+    EXPECT_TRUE(error->fatal_to_session);
+    EXPECT_FALSE(error->fatal_to_connection);
+  }
+
+  open.kg_name = "kg";
+  EXPECT_FALSE(OpenOn(peer, open).resumed);
+  const auto reports = RunToReports(peer, {4});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(RenderedJson("kg", reports.at(4).design_name,
+                         reports.at(4).result),
+            RenderedJson("kg", "SRS", ReferenceRun(kg, 42)));
+  EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, AReplayCostsAtMostFourContextSwitches) {
+  // Replaying a finished audit is one round trip: the client writes Hello,
+  // OpenAudit and StepBatch at once, and the loop that accepts the
+  // connection answers all three in one write. The client blocks once, on
+  // its reply, and the loop at most three times: for the connect, the
+  // request and the close.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("replay_ctx_switches");
+  auto options = DaemonOptions(dir);
+  options.workers = 1;
+  options.sync_checkpoints = false;  // No fsync wait inside a replay.
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  OpenAuditMsg open;
+  open.audit_id = 18;
+  open.kg_name = "kg";
+  {
+    AuditClient client(ClientOptions(daemon.port()));
+    auto report = client.RunAudit(open);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+  constexpr int kReplays = 50;
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  for (int i = 0; i < kReplays; ++i) {
+    AuditClient client(ClientOptions(daemon.port()));
+    auto report = client.RunAudit(open);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->oracle_calls, 0u);
+  }
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  const double switches_per_replay =
+      static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) / kReplays;
+  std::printf("%.2f voluntary context switches per replay\n",
+              switches_per_replay);
+  EXPECT_LE(switches_per_replay, 4.0);
+  daemon.Stop();
+}
+
+TEST(AuditDaemonTest, SecondDaemonOnTheSamePortFailsToStart) {
+  // The loops share the port through SO_REUSEPORT, which another daemon of
+  // the same user could join. A second daemon on a busy port must fail to
+  // start instead, and the first keeps serving.
+  const KnowledgeGraph kg = TestKg();
+  AuditDaemon first(DaemonOptions(TempDir("port_first")));
+  first.RegisterKg("kg", &kg);
+  ASSERT_TRUE(first.Start().ok());
+
+  auto options = DaemonOptions(TempDir("port_second"));
+  options.port = first.port();
+  AuditDaemon second(options);
+  second.RegisterKg("kg", &kg);
+  EXPECT_FALSE(second.Start().ok());
+
+  OpenAuditMsg open;
+  open.audit_id = 19;
+  open.kg_name = "kg";
+  AuditClient client(ClientOptions(first.port()));
+  auto report = client.RunAudit(open);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+            RenderedJson("kg", "SRS", ReferenceRun(kg, 42)));
+  first.Stop();
+}
+
+TEST(AuditDaemonTest, ConcurrentAcceptsNeverOvershootTheConnectionLimit) {
+  // Four loops accept at once; the connection cap holds across them. Each
+  // peer waits for a courtesy Busy before it says Hello: a refused peer
+  // reads Busy and a close, an admitted one hears nothing until its Hello.
+  const KnowledgeGraph kg = TestKg();
+  const std::string dir = TempDir("accept_limit");
+  auto options = DaemonOptions(dir);
+  options.workers = 4;
+  options.max_connections = 2;
+  AuditDaemon daemon(options);
+  daemon.RegisterKg("kg", &kg);
+  ASSERT_TRUE(daemon.Start().ok());
+
+  constexpr int kPeers = 8;
+  struct Outcome {
+    MessageType answer = MessageType::kError;
+    bool closed = false;
+  };
+  std::vector<TestPeer> peers(kPeers);
+  std::vector<Outcome> outcomes(kPeers);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kPeers; ++i) {
+    threads.emplace_back([&, i] {
+      TestPeer& peer = peers[i];
+      if (!peer.Connect(daemon.port(), /*hello=*/false).ok()) return;
+      auto frame = peer.Read();
+      if (!frame.ok() &&
+          frame.status().code() == StatusCode::kDeadlineExceeded) {
+        if (!peer.Send(FrameOf(MessageType::kHello, EncodeHello,
+                               HelloMsg{}))
+                 .ok()) {
+          return;
+        }
+        frame = peer.Read();
+      }
+      if (!frame.ok()) return;
+      Outcome& outcome = outcomes[i];
+      outcome.answer = static_cast<MessageType>(frame->type);
+      if (outcome.answer == MessageType::kBusy) {
+        outcome.closed = peer.ReadUntilClosed();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  int acks = 0;
+  for (int i = 0; i < kPeers; ++i) {
+    if (outcomes[i].answer == MessageType::kHelloAck) {
+      ++acks;
+      continue;
+    }
+    EXPECT_EQ(outcomes[i].answer, MessageType::kBusy) << "peer " << i;
+    EXPECT_TRUE(outcomes[i].closed) << "peer " << i;
+  }
+  EXPECT_LE(acks, 2);
+  EXPECT_GE(daemon.stats().busy_rejections.load(),
+            static_cast<uint64_t>(kPeers - acks));
   daemon.Stop();
 }
 

@@ -19,6 +19,14 @@
 namespace kgacc {
 namespace {
 
+/// A message's payload in a fresh vector.
+template <typename EncodeFn, typename Msg>
+std::vector<uint8_t> PayloadOf(EncodeFn encode, const Msg& m) {
+  ByteWriter w;
+  encode(m, &w);
+  return w.bytes();
+}
+
 std::vector<uint8_t> Payload(size_t n, uint8_t seed = 7) {
   std::vector<uint8_t> p(n);
   for (size_t i = 0; i < n; ++i) p[i] = static_cast<uint8_t>(seed + i * 31);
@@ -87,6 +95,54 @@ TEST(NetFrameTest, AppendingFramesAllocatesNothingWhenTheOutboxHasRoom) {
   for (uint8_t t = 1; t <= 8; ++t) AppendNetFrame(t, payload, &outbox);
   EXPECT_EQ(alloc_counter::Current() - before, 0u);
   EXPECT_EQ(outbox.size(), 8 * (1 + 2 + payload.size() + 4));
+}
+
+TEST(NetFrameTest, AppendingReplyFramesAllocatesNothingAfterWarmUp) {
+  // The daemon's reply path: `AppendFrameOf` encodes a payload into the
+  // thread's reused scratch writer and appends the frame to the outbox.
+  // Once one report frame has sized the scratch, no reply frame allocates,
+  // and the bytes are those of freshly encoded payloads.
+  IntervalUpdateMsg update;
+  update.audit_id = 1000042;
+  update.annotated_triples = 120;
+  update.mu = 0.9;
+  update.lower = 0.85;
+  update.upper = 0.94;
+  update.moe = 0.045;
+  AuditReportMsg report;
+  report.audit_id = 1000042;
+  report.design_name = "TWCS";
+  report.dataset_name = "demo";
+  report.result.mu = 0.9;
+  report.result.iterations = 15;
+  for (uint64_t n = 10; n <= 150; n += 10) {
+    report.result.trace.push_back(TracePoint{n, 1.0 / double(n), 0.9});
+  }
+  std::vector<uint8_t> outbox;
+  outbox.reserve(1 << 16);
+  AppendFrameOf(MessageType::kAuditReport, EncodeAuditReport, report,
+                &outbox);
+  outbox.clear();
+
+  const uint64_t before = alloc_counter::Current();
+  for (uint64_t step = 1; step <= 15; ++step) {
+    update.step = step;
+    AppendFrameOf(MessageType::kIntervalUpdate, EncodeIntervalUpdate, update,
+                  &outbox);
+  }
+  AppendFrameOf(MessageType::kAuditReport, EncodeAuditReport, report,
+                &outbox);
+  EXPECT_EQ(alloc_counter::Current() - before, 0u);
+
+  std::vector<uint8_t> expected;
+  for (uint64_t step = 1; step <= 15; ++step) {
+    update.step = step;
+    AppendNetFrame(static_cast<uint8_t>(MessageType::kIntervalUpdate),
+                   PayloadOf(EncodeIntervalUpdate, update), &expected);
+  }
+  AppendNetFrame(static_cast<uint8_t>(MessageType::kAuditReport),
+                 PayloadOf(EncodeAuditReport, report), &expected);
+  EXPECT_EQ(outbox, expected);
 }
 
 TEST(NetFrameTest, ManyFramesInOneFeed) {
@@ -333,7 +389,7 @@ TEST(NetFrameTest, ReportFrameWithCraftedTraceCountIsRejected) {
   report.store_retries = 4;
   report.degraded = true;
   report.degradation_note = "x";
-  const std::vector<uint8_t> valid = EncodeAuditReport(report);
+  const std::vector<uint8_t> valid = PayloadOf(EncodeAuditReport, report);
   // The empty trace's zero count precedes the four store counters, the
   // degraded flag and the one-byte note with its length.
   const size_t count_at = valid.size() - 8;
@@ -367,14 +423,14 @@ TEST(NetFrameTest, ErrorFrameWithOutOfRangeCodeIsRejected) {
        {uint8_t{0}, uint8_t(uint8_t(StatusCode::kQuotaExceeded) + 1),
         uint8_t{255}}) {
     error.code = code;
-    const auto decoded = DecodeError(EncodeError(error));
+    const auto decoded = DecodeError(PayloadOf(EncodeError, error));
     ASSERT_FALSE(decoded.ok()) << int(code);
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
   for (const StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kQuotaExceeded}) {
     error.code = static_cast<uint8_t>(code);
-    const auto decoded = DecodeError(EncodeError(error));
+    const auto decoded = DecodeError(PayloadOf(EncodeError, error));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->ToStatus().code(), code);
   }
@@ -386,9 +442,10 @@ TEST(NetFrameTest, FramesWithCraftedStopReasonAreRejected) {
   const uint8_t crafted = uint8_t(StopReason::kPopulationExhausted) + 1;
   AuditReportMsg report;
   report.result.stop_reason = static_cast<StopReason>(crafted);
-  EXPECT_FALSE(DecodeAuditReport(EncodeAuditReport(report)).ok());
+  EXPECT_FALSE(DecodeAuditReport(PayloadOf(EncodeAuditReport, report)).ok());
   report.result.stop_reason = StopReason::kPopulationExhausted;
-  const auto valid_report = DecodeAuditReport(EncodeAuditReport(report));
+  const auto valid_report =
+      DecodeAuditReport(PayloadOf(EncodeAuditReport, report));
   ASSERT_TRUE(valid_report.ok()) << valid_report.status().ToString();
   EXPECT_EQ(valid_report->result.stop_reason,
             StopReason::kPopulationExhausted);
@@ -396,9 +453,11 @@ TEST(NetFrameTest, FramesWithCraftedStopReasonAreRejected) {
   IntervalUpdateMsg update;
   update.done = true;
   update.stop_reason = crafted;
-  EXPECT_FALSE(DecodeIntervalUpdate(EncodeIntervalUpdate(update)).ok());
+  EXPECT_FALSE(
+      DecodeIntervalUpdate(PayloadOf(EncodeIntervalUpdate, update)).ok());
   update.stop_reason = uint8_t(StopReason::kPopulationExhausted);
-  EXPECT_TRUE(DecodeIntervalUpdate(EncodeIntervalUpdate(update)).ok());
+  EXPECT_TRUE(
+      DecodeIntervalUpdate(PayloadOf(EncodeIntervalUpdate, update)).ok());
 }
 
 }  // namespace

@@ -527,7 +527,9 @@ TEST(DecoderMutationTest, ReportsAndSessionSnapshotsAlwaysReturnAStatus) {
     report.result.trace.push_back(TracePoint{n, 0.3 / double(n), 0.87});
   }
   report.store_hits = 12;
-  const std::vector<uint8_t> wire = EncodeAuditReport(report);
+  ByteWriter encoded;
+  EncodeAuditReport(report, &encoded);
+  const std::vector<uint8_t>& wire = encoded.bytes();
   ASSERT_TRUE(DecodeAuditReport(wire).ok());
   const int bad_reports = DecodeMutants(
       wire, 1, 3000, [](std::span<const uint8_t> bytes) {

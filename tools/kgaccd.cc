@@ -42,8 +42,8 @@ using namespace kgacc;
 AuditDaemon* g_daemon = nullptr;
 
 // Signal path: an atomic flag flip plus one write() on each event loop's
-// wake pipe — all async-signal-safe. The loops and the listener thread do
-// the actual drain.
+// wake pipe — all async-signal-safe. The loops stop, and the daemon's
+// drain thread, once they all have, does the rest of the drain.
 void HandleDrainSignal(int) {
   if (g_daemon != nullptr) g_daemon->RequestDrain();
 }
@@ -61,8 +61,8 @@ ArgParser BuildParser() {
                "write the bound port here once listening (for scripts "
                "using --port=0)")
       .AddFlag("workers",
-               "event loops, each owning its connections and running their "
-               "steps (default: hardware)")
+               "event loops, each accepting its own connections on the "
+               "port and running their steps (default: hardware)")
       .AddFlag("max-sessions", "admission: live session cap (default 64)")
       .AddFlag("max-inflight",
                "admission: in-flight step batches per connection "
