@@ -23,6 +23,13 @@ struct CostModel {
   int annotators_per_triple = 1;
 };
 
+/// Total manual effort, in seconds, for |E_S| = `distinct_entities` and
+/// |T_S| = `distinct_triples`: the charge reads only the sizes of the two
+/// distinct sets.
+double AnnotationCostSeconds(const CostModel& model,
+                             uint64_t distinct_entities,
+                             uint64_t distinct_triples);
+
 /// Total manual effort for `sample` in seconds.
 double AnnotationCostSeconds(const CostModel& model,
                              const AnnotatedSample& sample);

@@ -119,7 +119,8 @@ RunOutcome AuditRunner::Finish() {
   Result<EvaluationResult> result = session_->Finish();
   if (!result.ok()) return Fail("finalization failed", result.status());
   result_ = std::move(result).value();
-  // Final snapshot: a reopened finished audit restores straight to done
+  // Final snapshot, in the finished form (the report's inputs, not the
+  // distinct sets): a reopened finished audit restores straight to done
   // and regenerates this report.
   if (std::optional<RunOutcome> failed = SnapshotOrFail(false)) {
     return *failed;

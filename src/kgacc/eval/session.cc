@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "kgacc/util/check.h"
 #include "kgacc/util/codec.h"
 
 namespace kgacc {
@@ -28,6 +29,12 @@ namespace {
 ///     drops its RCS sums of tau_i and M_i, which equal its own tau_S and
 ///     n_S, so a v4 payload must fail the gate too.
 constexpr uint8_t kSessionSnapshotVersion = 5;
+
+/// Leading byte of the finished form (`SaveFinishedState`): the fingerprint,
+/// the accumulator, the two distinct-set sizes and the outcome. It sits
+/// apart from the live versions so either form names itself, and a live
+/// snapshot keeps its v5 bytes.
+constexpr uint8_t kFinishedSnapshotTag = 0x81;
 
 }  // namespace
 
@@ -163,9 +170,10 @@ Result<EvaluationResult> EvaluationSession::Finish() {
   }
   EvaluationResult out = result_;
   out.annotated_triples = accumulator_.num_triples();
-  out.distinct_triples = sample_->num_distinct_triples();
-  out.distinct_entities = sample_->num_distinct_entities();
-  out.cost_seconds = AnnotationCostSeconds(cost_model_, *sample_);
+  out.distinct_triples = distinct_triples();
+  out.distinct_entities = distinct_entities();
+  out.cost_seconds = AnnotationCostSeconds(cost_model_, out.distinct_entities,
+                                           out.distinct_triples);
   out.cost_hours = out.cost_seconds / 3600.0;
   // Surface a degraded durable layer (e.g. a StoredAnnotator that stopped
   // persisting labels) so every driver — local, resumed, networked — reports
@@ -183,11 +191,18 @@ Result<EvaluationResult> EvaluationSession::Run() {
   return Finish();
 }
 
-void EvaluationSession::SaveState(ByteWriter* w) const {
-  w->PutU8(kSessionSnapshotVersion);
+uint64_t EvaluationSession::distinct_entities() const {
+  return sets_dropped_ ? dropped_entities_ : sample_->num_distinct_entities();
+}
+
+uint64_t EvaluationSession::distinct_triples() const {
+  return sets_dropped_ ? dropped_triples_ : sample_->num_distinct_triples();
+}
+
+void EvaluationSession::SaveFingerprint(ByteWriter* w) const {
   // Identity fingerprint: the snapshot only replays correctly into a
-  // session over the same design, configuration, and seed. LoadState
-  // verifies every field below before touching any state.
+  // session over the same design, configuration, and seed.
+  // CheckFingerprint verifies every field below before touching any state.
   w->PutFixed64(seed_);
   w->PutString(sampler_.name());
   w->PutU8(static_cast<uint8_t>(config_.method));
@@ -205,45 +220,9 @@ void EvaluationSession::SaveState(ByteWriter* w) const {
     w->PutDouble(prior.a);
     w->PutDouble(prior.b);
   }
-
-  rng_.SaveState(w);
-  // Length-prefixed sampler sub-payload: designs with no across-batch state
-  // write nothing, and the framing stays self-describing either way.
-  ByteWriter sampler_state;
-  sampler_.SaveState(&sampler_state);
-  w->PutLengthPrefixed(sampler_state.span());
-  accumulator_.SaveState(w);
-  sample_->SaveState(w);
-  SaveAhpdWarmState(interval_warm_, w);
-
-  w->PutDouble(result_.mu);
-  w->PutDouble(result_.interval.lower);
-  w->PutDouble(result_.interval.upper);
-  w->PutZigzag(result_.iterations);
-  w->PutVarint(result_.winning_prior);
-  w->PutDouble(result_.deff);
-  w->PutBool(result_.converged);
-  w->PutU8(static_cast<uint8_t>(result_.stop_reason));
-  w->PutVarint(result_.trace.size());
-  for (const TracePoint& point : result_.trace) {
-    w->PutVarint(point.n);
-    w->PutDouble(point.moe);
-    w->PutDouble(point.mu);
-  }
-  w->PutBool(done_);
-  w->PutDouble(moe_);
 }
 
-Status EvaluationSession::LoadState(ByteReader* r) {
-  if (!init_status_.ok()) return init_status_;
-  KGACC_ASSIGN_OR_RETURN(const uint8_t version, r->U8());
-  if (version != kSessionSnapshotVersion) {
-    return Status::InvalidArgument(
-        "session snapshot version " + std::to_string(int(version)) +
-        " is incompatible with this build (expects version " +
-        std::to_string(int(kSessionSnapshotVersion)) +
-        "); the audit must restart rather than resume");
-  }
+Status EvaluationSession::CheckFingerprint(ByteReader* r) const {
   KGACC_ASSIGN_OR_RETURN(const uint64_t seed, r->Fixed64());
   KGACC_ASSIGN_OR_RETURN(const std::string design, r->String());
   KGACC_ASSIGN_OR_RETURN(const uint8_t method, r->U8());
@@ -274,17 +253,29 @@ Status EvaluationSession::LoadState(ByteReader* r) {
         "session snapshot fingerprint does not match this session's design, "
         "configuration, or seed");
   }
+  return Status::OK();
+}
 
-  KGACC_RETURN_IF_ERROR(rng_.LoadState(r));
-  KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> sampler_payload,
-                         r->LengthPrefixed());
-  sampler_.Reset();
-  ByteReader sampler_reader(sampler_payload);
-  KGACC_RETURN_IF_ERROR(sampler_.LoadState(&sampler_reader));
-  KGACC_RETURN_IF_ERROR(accumulator_.LoadState(r));
-  KGACC_RETURN_IF_ERROR(sample_->LoadState(r));
-  KGACC_RETURN_IF_ERROR(LoadAhpdWarmState(r, &interval_warm_));
+void EvaluationSession::SaveOutcome(ByteWriter* w) const {
+  w->PutDouble(result_.mu);
+  w->PutDouble(result_.interval.lower);
+  w->PutDouble(result_.interval.upper);
+  w->PutZigzag(result_.iterations);
+  w->PutVarint(result_.winning_prior);
+  w->PutDouble(result_.deff);
+  w->PutBool(result_.converged);
+  w->PutU8(static_cast<uint8_t>(result_.stop_reason));
+  w->PutVarint(result_.trace.size());
+  for (const TracePoint& point : result_.trace) {
+    w->PutVarint(point.n);
+    w->PutDouble(point.moe);
+    w->PutDouble(point.mu);
+  }
+  w->PutBool(done_);
+  w->PutDouble(moe_);
+}
 
+Status EvaluationSession::LoadOutcome(ByteReader* r) {
   KGACC_ASSIGN_OR_RETURN(result_.mu, r->Double());
   KGACC_ASSIGN_OR_RETURN(result_.interval.lower, r->Double());
   KGACC_ASSIGN_OR_RETURN(result_.interval.upper, r->Double());
@@ -308,6 +299,88 @@ Status EvaluationSession::LoadState(ByteReader* r) {
   }
   KGACC_ASSIGN_OR_RETURN(done_, r->Bool());
   KGACC_ASSIGN_OR_RETURN(moe_, r->Double());
+  return Status::OK();
+}
+
+void EvaluationSession::SaveState(ByteWriter* w) const {
+  // Without its sets this session can only write the form that omits them.
+  if (sets_dropped_) {
+    SaveFinishedState(w);
+    return;
+  }
+  w->PutU8(kSessionSnapshotVersion);
+  SaveFingerprint(w);
+  rng_.SaveState(w);
+  // Length-prefixed sampler sub-payload: designs with no across-batch state
+  // write nothing, and the framing stays self-describing either way.
+  ByteWriter sampler_state;
+  sampler_.SaveState(&sampler_state);
+  w->PutLengthPrefixed(sampler_state.span());
+  accumulator_.SaveState(w);
+  sample_->SaveState(w);
+  SaveAhpdWarmState(interval_warm_, w);
+  SaveOutcome(w);
+}
+
+void EvaluationSession::SaveFinishedState(ByteWriter* w) const {
+  KGACC_CHECK(done_);
+  w->PutU8(kFinishedSnapshotTag);
+  SaveFingerprint(w);
+  accumulator_.SaveState(w);
+  w->PutVarint(distinct_entities());
+  w->PutVarint(distinct_triples());
+  SaveOutcome(w);
+}
+
+Status EvaluationSession::LoadState(ByteReader* r) {
+  if (!init_status_.ok()) return init_status_;
+  KGACC_ASSIGN_OR_RETURN(const uint8_t version, r->U8());
+  if (version == kFinishedSnapshotTag) return LoadFinishedState(r);
+  if (version != kSessionSnapshotVersion) {
+    return Status::InvalidArgument(
+        "session snapshot version " + std::to_string(int(version)) +
+        " is incompatible with this build (expects version " +
+        std::to_string(int(kSessionSnapshotVersion)) +
+        "); the audit must restart rather than resume");
+  }
+  KGACC_RETURN_IF_ERROR(CheckFingerprint(r));
+
+  KGACC_RETURN_IF_ERROR(rng_.LoadState(r));
+  KGACC_ASSIGN_OR_RETURN(const std::span<const uint8_t> sampler_payload,
+                         r->LengthPrefixed());
+  sampler_.Reset();
+  ByteReader sampler_reader(sampler_payload);
+  KGACC_RETURN_IF_ERROR(sampler_.LoadState(&sampler_reader));
+  KGACC_RETURN_IF_ERROR(accumulator_.LoadState(r));
+  KGACC_RETURN_IF_ERROR(sample_->LoadState(r));
+  sets_dropped_ = false;
+  KGACC_RETURN_IF_ERROR(LoadAhpdWarmState(r, &interval_warm_));
+  return LoadOutcome(r);
+}
+
+Status EvaluationSession::LoadFinishedState(ByteReader* r) {
+  KGACC_RETURN_IF_ERROR(CheckFingerprint(r));
+  KGACC_RETURN_IF_ERROR(accumulator_.LoadState(r));
+  KGACC_ASSIGN_OR_RETURN(const uint64_t entities, r->Varint());
+  KGACC_ASSIGN_OR_RETURN(const uint64_t triples, r->Varint());
+  // Every distinct triple was annotated at least once, and each one names
+  // one entity.
+  if (triples > accumulator_.num_triples() || entities > triples) {
+    return Status::InvalidArgument(
+        "finished session snapshot claims more distinct triples or entities "
+        "than it annotated");
+  }
+  KGACC_RETURN_IF_ERROR(LoadOutcome(r));
+  if (!done_) {
+    return Status::InvalidArgument(
+        "finished session snapshot is not marked done");
+  }
+  // Nothing replays from here: Step() returns the stop snapshot and
+  // Finish() reads the sizes in place of the sets.
+  sample_->Clear();
+  sets_dropped_ = true;
+  dropped_entities_ = entities;
+  dropped_triples_ = triples;
   return Status::OK();
 }
 

@@ -107,7 +107,8 @@ class EvaluationSession {
   Result<EvaluationResult> Run();
 
   /// The distinct entities and triples annotated so far (what the cost
-  /// model charges for).
+  /// model charges for). Empty in a session restored from a finished
+  /// snapshot, which keeps only the sets' sizes (`Finish()` reports them).
   const AnnotatedSample& sample() const { return *sample_; }
 
   /// The streaming estimator state Step() estimates from — every batch is
@@ -128,21 +129,46 @@ class EvaluationSession {
   /// Serializes the complete resumable state — RNG stream position, sampler
   /// bookkeeping, streaming estimator (with the totals), the distinct
   /// sets, HPD warm carry, and the partial result — as
-  /// one snapshot payload (the checkpoint frames `CheckpointManager` writes
-  /// into the annotation WAL). All doubles travel bit-exact: a restored
-  /// session replays the identical stochastic and floating-point path, so
-  /// resuming mid-audit reproduces the uninterrupted report byte for byte.
+  /// one snapshot payload (the live form, v5). All doubles travel
+  /// bit-exact: a restored session replays the identical stochastic and
+  /// floating-point path, so resuming mid-audit reproduces the
+  /// uninterrupted report byte for byte. Its size grows with the distinct
+  /// sets. A session restored from a finished snapshot no longer holds the
+  /// sets and writes the finished form instead.
   void SaveState(ByteWriter* w) const;
 
-  /// Restores a snapshot into a session constructed over the *same* design,
-  /// population, configuration, and seed (a fingerprint is verified; a
-  /// mismatched snapshot is rejected, not half-applied). The sampler is
-  /// Reset() and its serialized bookkeeping reloaded.
+  /// Serializes a finished session (`done()` must hold) in the form its
+  /// report needs: the identity fingerprint, the accumulator totals, the
+  /// result, the stop state and the two distinct-set *sizes*. The RNG, the
+  /// sampler, the HPD warm carry and the set members are left out, so the
+  /// payload stays the same size however large the sample grew. This is
+  /// what `CheckpointManager` writes once a stop rule has fired.
+  void SaveFinishedState(ByteWriter* w) const;
+
+  /// Restores a snapshot of either form into a session constructed over
+  /// the *same* design, population, configuration, and seed (a fingerprint
+  /// is verified; a mismatched snapshot is rejected before any state is
+  /// touched). A live snapshot Reset()s the sampler and reloads its
+  /// bookkeeping. A finished one restores a done session that answers
+  /// Step(), Finish() and the cost model exactly as the original did.
   Status LoadState(ByteReader* r);
 
  private:
   /// Builds the snapshot for the current state.
   StepOutcome Snapshot() const;
+
+  /// The snapshot sections both forms share: the identity fingerprint, and
+  /// the result with the stop state (`result_`, `done_`, `moe_`).
+  void SaveFingerprint(ByteWriter* w) const;
+  Status CheckFingerprint(ByteReader* r) const;
+  void SaveOutcome(ByteWriter* w) const;
+  Status LoadOutcome(ByteReader* r);
+  Status LoadFinishedState(ByteReader* r);
+
+  /// |E_S| and |T_S|: the sample's set sizes, or the sizes a finished
+  /// snapshot carried in their place.
+  uint64_t distinct_entities() const;
+  uint64_t distinct_triples() const;
 
   Sampler& sampler_;
   Annotator& annotator_;
@@ -162,6 +188,11 @@ class EvaluationSession {
   EvaluationResult result_;
   bool done_ = false;
   double moe_ = std::numeric_limits<double>::infinity();
+  /// Set once restored from a finished snapshot: `sample_` is then empty,
+  /// and the two sizes below stand in for its sets.
+  bool sets_dropped_ = false;
+  uint64_t dropped_entities_ = 0;
+  uint64_t dropped_triples_ = 0;
 };
 
 }  // namespace kgacc

@@ -20,8 +20,14 @@ Status CheckpointManager::OnStep(const EvaluationSession& session) {
 
 Status CheckpointManager::Checkpoint(const EvaluationSession& session) {
   if (degraded_) return Status::OK();  // Snapshotting was abandoned.
+  // A finished audit is only ever reported again, never stepped: its
+  // snapshot keeps what the report reads and drops the distinct sets.
   ByteWriter snapshot;
-  session.SaveState(&snapshot);
+  if (session.done()) {
+    session.SaveFinishedState(&snapshot);
+  } else {
+    session.SaveState(&snapshot);
+  }
   uint64_t frame_bytes = 0;
   const Status appended = RetryWithBackoff(
       options_.backoff,

@@ -21,6 +21,9 @@
 /// Snapshot cadence is therefore a pure compute/log-size trade: even
 /// `every_steps = 1` only appends a few-KB frame per batch, and a cadence
 /// of N merely re-runs at most N-1 cheap, already-labeled steps on resume.
+/// Once the audit is done, its snapshot takes the finished form
+/// (`EvaluationSession::SaveFinishedState`): a fixed-size frame with what
+/// the report reads, which is all a reopened finished audit needs.
 
 namespace kgacc {
 
@@ -57,7 +60,8 @@ class CheckpointManager {
   /// (or install it via `EvaluationJob::on_step`).
   Status OnStep(const EvaluationSession& session);
 
-  /// Unconditionally snapshots the session now.
+  /// Unconditionally snapshots the session now: the live form while it
+  /// runs, the finished form once it is done.
   Status Checkpoint(const EvaluationSession& session);
 
   /// True when the store holds a checkpoint for this audit id (whether it

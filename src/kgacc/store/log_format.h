@@ -26,9 +26,11 @@ namespace kgacc::walfmt {
 inline constexpr char kMagic[8] = {'k', 'g', 'a', 'c', 'W', 'A', 'L', '1'};
 inline constexpr size_t kMagicSize = sizeof(kMagic);
 
-/// Upper bound on one frame's payload. Snapshots of audit sessions are
-/// kilobytes; anything near this limit in a length prefix is corruption,
-/// not data, and must not drive a giant allocation during recovery.
+/// Upper bound on one frame's payload. A live audit's snapshot grows with
+/// its distinct sets, eight bytes a member (kilobytes for a typical audit),
+/// and a finished one is a couple of hundred bytes; anything near this
+/// limit in a length prefix is corruption, not data, and must not drive a
+/// giant allocation during recovery.
 inline constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 30;
 
 /// Frame types owned by the annotation store. The trailer frame is written

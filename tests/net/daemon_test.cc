@@ -16,6 +16,8 @@
 #include "kgacc/net/client.h"
 #include "kgacc/sampling/cluster.h"
 #include "kgacc/sampling/srs.h"
+#include "kgacc/store/annotation_store.h"
+#include "kgacc/util/codec.h"
 #include "kgacc/util/failpoint.h"
 
 #include <gtest/gtest.h>
@@ -412,6 +414,76 @@ TEST(AuditDaemonTest, DaemonRestartMidAuditResumesByteIdentical) {
     EXPECT_EQ(daemon.stats().sessions_resumed.load(), 1u);
     daemon.Stop();
   }
+}
+
+/// The encoded report frame of `result` under fixed metadata: every field
+/// of the result, doubles bit for bit, as the wire carries it.
+std::vector<uint8_t> EncodedResult(const EvaluationResult& result) {
+  AuditReportMsg report;
+  report.audit_id = 1;
+  report.design_name = "SRS";
+  report.dataset_name = "kg";
+  report.result = result;
+  ByteWriter w;
+  EncodeAuditReport(report, &w);
+  return w.bytes();
+}
+
+TEST(AuditDaemonTest, ReplayAfterRestartAndCompactionMatchesTheLocalRun) {
+  // A finished audit checkpoints only what its report reads. After the
+  // daemon restarts, and again after the store is compacted offline, a
+  // reopen must land the local RunEvaluation's report byte for byte and pay
+  // no label.
+  const KnowledgeGraph kg = TestKg();
+  OracleAnnotator oracle;
+  SrsSampler sampler(kg, SrsConfig{});
+  const Result<EvaluationResult> local =
+      RunEvaluation(sampler, oracle, EvaluationConfig{}, 42);
+  ASSERT_TRUE(local.ok());
+  const std::string dir = TempDir("replay_compact");
+  OpenAuditMsg open;
+  open.audit_id = 12;
+  open.kg_name = "kg";
+  const auto run = [&](bool replay) {
+    AuditDaemon daemon(DaemonOptions(dir));
+    daemon.RegisterKg("kg", &kg);
+    ASSERT_TRUE(daemon.Start().ok());
+    AuditClient client(ClientOptions(daemon.port()));
+    auto report = client.RunAudit(open);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(client.stats().opened.resumed, replay);
+    if (replay) {
+      EXPECT_EQ(report->oracle_calls, 0u);
+      EXPECT_EQ(report->store_hits, 0u);
+      EXPECT_EQ(daemon.stats().sessions_resumed.load(), 1u);
+    }
+    EXPECT_EQ(RenderedJson("kg", report->design_name, report->result),
+              RenderedJson("kg", "SRS", *local));
+    EXPECT_EQ(EncodedResult(report->result), EncodedResult(*local));
+    daemon.Stop();
+  };
+  run(/*replay=*/false);
+  run(/*replay=*/true);
+
+  std::string wal;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("kg_", 0) == 0 &&
+        entry.path().extension() == ".wal") {
+      wal = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(wal.empty());
+  {
+    auto store = AnnotationStore::Open(wal);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Compact().ok());
+    // The finished audit's checkpoint is a few hundred bytes, not a copy
+    // of its distinct sets.
+    auto checkpoint = (*store)->LatestCheckpoint(open.audit_id);
+    ASSERT_TRUE(checkpoint.ok() && checkpoint->has_value());
+    EXPECT_LT((*checkpoint)->size(), 256u);
+  }
+  run(/*replay=*/true);
 }
 
 TEST(AuditDaemonTest, SessionLimitAnswersBusyNeverHangs) {

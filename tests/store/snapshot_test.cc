@@ -372,6 +372,122 @@ TEST(SnapshotTest, SessionSnapshotRejectsFingerprintMismatch) {
   }
 }
 
+/// The finished snapshot of a done SRS audit under `config`, seed 42.
+std::vector<uint8_t> FinishedSnapshot(Sampler& sampler, Annotator& annotator,
+                                      const EvaluationConfig& config) {
+  EvaluationSession session(sampler, annotator, config, 42);
+  EXPECT_TRUE(session.Run().ok());
+  ByteWriter w;
+  session.SaveFinishedState(&w);
+  return std::vector<uint8_t>(w.span().begin(), w.span().end());
+}
+
+TEST(SnapshotTest, FinishedSnapshotRejectsFingerprintMismatch) {
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  const std::vector<uint8_t> bytes =
+      FinishedSnapshot(sampler, annotator, config);
+  const auto load = [&](Sampler& target_sampler,
+                        const EvaluationConfig& target_config,
+                        uint64_t seed) {
+    EvaluationSession target(target_sampler, annotator, target_config, seed);
+    ByteReader r({bytes.data(), bytes.size()});
+    const Status status = target.LoadState(&r);
+    EXPECT_TRUE(!status.ok() || r.empty());
+    return status.ok();
+  };
+  EXPECT_FALSE(load(sampler, config, 43));  // Different seed.
+  EvaluationConfig wald = config;
+  wald.method = IntervalMethod::kWald;
+  EXPECT_FALSE(load(sampler, wald, 42));  // Different interval method.
+  TwcsSampler twcs(kg, TwcsConfig{});
+  EXPECT_FALSE(load(twcs, config, 42));  // Different design.
+  EvaluationConfig other_priors = config;
+  other_priors.priors[0].a += 1.0;
+  EXPECT_FALSE(load(sampler, other_priors, 42));  // Other prior parameters.
+  EvaluationConfig tighter = config;
+  tighter.moe_threshold /= 2;
+  EXPECT_FALSE(load(sampler, tighter, 42));  // Other MoE budget.
+  EXPECT_TRUE(load(sampler, config, 42));  // Matching everything.
+}
+
+TEST(SnapshotTest, FinishedSnapshotWithCraftedStopReasonIsRejected) {
+  // The finished form ends like the live one: the stop reason byte, the
+  // zero trace count, the done flag and the MoE double.
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  ASSERT_FALSE(config.record_trace);
+  std::vector<uint8_t> bytes = FinishedSnapshot(sampler, annotator, config);
+  const size_t at = bytes.size() - (1 + 1 + 1 + 8);
+  ASSERT_EQ(bytes[at], uint8_t(StopReason::kConverged));
+  ASSERT_EQ(bytes[at + 1], 0);
+  ASSERT_EQ(bytes[at + 2], 1);
+  const auto load = [&] {
+    EvaluationSession same(sampler, annotator, config, 42);
+    ByteReader r({bytes.data(), bytes.size()});
+    return same.LoadState(&r).ok();
+  };
+  bytes[at] = uint8_t(StopReason::kPopulationExhausted) + 1;
+  EXPECT_FALSE(load());
+  bytes[at] = uint8_t(StopReason::kPopulationExhausted);
+  EXPECT_TRUE(load());
+  // A finished snapshot that is not done would leave a session that steps
+  // without its RNG, sampler or distinct sets.
+  bytes[at + 2] = 0;
+  EXPECT_FALSE(load());
+}
+
+TEST(SnapshotTest, FinishedSnapshotClaimingMoreThanItAnnotatedIsRejected) {
+  // The finished form carries the distinct-set sizes in place of the sets;
+  // a size beyond the annotated triples (or more entities than triples)
+  // was never written by a real session.
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler sampler(kg, SrsConfig{});
+  EvaluationConfig config;
+  EvaluationSession session(sampler, annotator, config, 42);
+  ASSERT_TRUE(session.Run().ok());
+  const Result<EvaluationResult> report = session.Finish();
+  ASSERT_TRUE(report.ok());
+  ByteWriter w;
+  session.SaveFinishedState(&w);
+  const std::vector<uint8_t> bytes(w.span().begin(), w.span().end());
+  // The two sizes sit right before the outcome: mu, the interval, the
+  // iterations, the winning prior, deff, converged, the stop reason, the
+  // (empty) trace, done and the MoE.
+  ByteWriter sizes;
+  sizes.PutVarint(report->distinct_entities);
+  sizes.PutVarint(report->distinct_triples);
+  ByteWriter outcome;
+  outcome.PutZigzag(report->iterations);
+  outcome.PutVarint(report->winning_prior);
+  const size_t at =
+      bytes.size() - (outcome.size() + 4 * 8 + 1 + 1 + 1 + 1 + 8) -
+      sizes.size();
+  ASSERT_TRUE(std::equal(sizes.span().begin(), sizes.span().end(),
+                         bytes.begin() + at));
+  const auto with_sizes = [&](uint64_t entities, uint64_t triples) {
+    ByteWriter crafted;
+    crafted.PutVarint(entities);
+    crafted.PutVarint(triples);
+    std::vector<uint8_t> out(bytes.begin(), bytes.begin() + at);
+    out.insert(out.end(), crafted.span().begin(), crafted.span().end());
+    out.insert(out.end(), bytes.begin() + at + sizes.size(), bytes.end());
+    EvaluationSession target(sampler, annotator, config, 42);
+    ByteReader r({out.data(), out.size()});
+    return target.LoadState(&r).ok();
+  };
+  EXPECT_TRUE(with_sizes(report->distinct_entities, report->distinct_triples));
+  EXPECT_FALSE(
+      with_sizes(report->distinct_entities, report->annotated_triples + 1));
+  EXPECT_FALSE(
+      with_sizes(report->distinct_triples + 1, report->distinct_triples));
+}
+
 // Without the trace, a session snapshot is a fixed set of fields plus the
 // two distinct-set payloads: nothing else may grow with the sample. Only
 // the varint totals (units, triples, correct, iterations) widen, by a byte
@@ -560,6 +676,38 @@ TEST(DecoderMutationTest, ReportsAndSessionSnapshotsAlwaysReturnAStatus) {
     };
     ASSERT_TRUE(load(w.span()));
     EXPECT_GT(DecodeMutants(w.span(), 2, 3000, load), 0);
+  }
+}
+
+// The same loop over the finished form of those two sessions run to their
+// stop, with the trace on, the accumulator strata and the distinct-set
+// sizes in the payload.
+TEST(DecoderMutationTest, FinishedSessionSnapshotsAlwaysReturnAStatus) {
+  const auto kg = TestKg();
+  OracleAnnotator annotator;
+  SrsSampler srs(kg, SrsConfig{.batch_size = 10, .without_replacement = true});
+  StratifiedSampler ssrs(kg, StratifiedConfig{.batch_size = 10});
+  EvaluationConfig config;
+  config.record_trace = true;
+  for (Sampler* sampler : {static_cast<Sampler*>(&srs),
+                           static_cast<Sampler*>(&ssrs)}) {
+    SCOPED_TRACE(sampler->name());
+    EvaluationSession session(*sampler, annotator, config, 42);
+    ASSERT_TRUE(session.Run().ok());
+    ByteWriter w;
+    session.SaveFinishedState(&w);
+    const auto load = [&](std::span<const uint8_t> bytes) {
+      EvaluationSession target(*sampler, annotator, config, 42);
+      ByteReader r(bytes);
+      if (!target.LoadState(&r).ok()) return false;
+      // Whatever decoded is a done session that reports without drawing.
+      EXPECT_TRUE(target.done());
+      EXPECT_TRUE(target.Step().ok());
+      target.Finish().status().IgnoreError();
+      return true;
+    };
+    ASSERT_TRUE(load(w.span()));
+    EXPECT_GT(DecodeMutants(w.span(), 3, 3000, load), 0);
   }
 }
 
